@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet fuzz bench crash-stress
+.PHONY: build test race lint vet fuzz bench bench-smoke crash-stress
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ fuzz:
 
 bench:
 	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase' -benchtime=1x ./...
+
+# The benchmark harness is its own module, so `go test ./...` at the
+# root does not reach it: run its smoke test (every workload briefly,
+# traced and untraced) against the engine in this checkout.
+bench-smoke:
+	cd enginebench && $(GO) test -short .
 
 # Durability stress: the crash harness (kill-and-reopen rounds under the
 # race detector) plus the WAL torn-tail corpus. EXTRA_CRASH_ROUNDS

@@ -43,6 +43,8 @@ package extra
 
 import (
 	"errors"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +54,7 @@ import (
 	"repro/internal/authz"
 	"repro/internal/catalog"
 	"repro/internal/deadlock"
+	"repro/internal/excess/ast"
 	"repro/internal/excess/sema"
 	"repro/internal/exec"
 	"repro/internal/metrics"
@@ -80,6 +83,16 @@ func (db *DB) beginPin() bool {
 		return false
 	}
 	return true
+}
+
+// countStmt bumps the statement's stmt.<kind> counter; statements run
+// under EXPLAIN ANALYZE count as stmt.analyze instead.
+func (db *DB) countStmt(st ast.Statement, an *analysis) {
+	k := len(sema.Kinds)
+	if an == nil {
+		k = sema.KindIndex(st)
+	}
+	db.cStmt[k].Inc()
 }
 
 // Result re-exports the executor's result set.
@@ -141,8 +154,12 @@ type DB struct {
 	// Pre-resolved hot-path metric handles (one atomic add each, no
 	// registry lookup on the statement path). Histograms and counters
 	// are internally atomic: safe to observe from concurrent readers.
-	hParse, hCheck, hPlan, hCompile, hExecute, hStmt *metrics.Histogram
-	cRows, cErrors                                   *metrics.Counter
+	// hPhase[p] is phase.<name>; cStmt[k] is stmt.<sema.Kinds[k]>, with
+	// stmt.analyze in the extra last slot.
+	hPhase         [trace.NumPhases]*metrics.Histogram
+	hStmt          *metrics.Histogram
+	cStmt          [len(sema.Kinds) + 1]*metrics.Counter
+	cRows, cErrors *metrics.Counter
 
 	// plans is the engine-wide compiled-statement cache (see
 	// plancache.go): repeated unprepared retrieves amortize
@@ -252,15 +269,10 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		exec:  exec.New(store, cat),
 		auth:  authz.New(),
 
-		metrics:  mreg,
-		hParse:   mreg.Histogram("phase.parse"),
-		hCheck:   mreg.Histogram("phase.check"),
-		hPlan:    mreg.Histogram("phase.plan"),
-		hCompile: mreg.Histogram("phase.compile"),
-		hExecute: mreg.Histogram("phase.execute"),
-		hStmt:    mreg.Histogram("stmt.latency"),
-		cRows:    mreg.Counter("rows.returned"),
-		cErrors:  mreg.Counter("stmt.errors"),
+		metrics: mreg,
+		hStmt:   mreg.Histogram("stmt.latency"),
+		cRows:   mreg.Counter("rows.returned"),
+		cErrors: mreg.Counter("stmt.errors"),
 
 		plans: newPlanCache(defaultPlanCacheCap, mreg),
 
@@ -268,6 +280,12 @@ func open(cfg config, reg *adt.Registry) (*DB, error) {
 		slowCap:       cfg.slowCap,
 
 		tracer: trace.NewTracer(cfg.traceEvery, cfg.traceCap),
+	}
+	for p := range db.hPhase {
+		db.hPhase[p] = mreg.Histogram("phase." + trace.Phase(p).Name())
+	}
+	for k, name := range append(sema.Kinds[:], "analyze") {
+		db.cStmt[k] = mreg.Counter("stmt." + name)
 	}
 	db.wmu.SetName("db.wmu")
 	db.mu.SetName("db.mu")
@@ -456,10 +474,11 @@ func targetExprs(cq *sema.CheckedRetrieve) []sema.Expr {
 }
 
 // paramScope carries the parameter names/types/values of an executing
-// procedure body.
+// procedure body or prepared statement; sig is paramSig of the types.
 type paramScope struct {
 	types  map[string]types.Type
 	values map[string]value.Value
+	sig    string
 }
 
 func (p *paramScope) typesOrNil() map[string]types.Type {
@@ -467,6 +486,28 @@ func (p *paramScope) typesOrNil() map[string]types.Type {
 		return nil
 	}
 	return p.types
+}
+
+func (p *paramScope) signature() string {
+	if p == nil {
+		return ""
+	}
+	return p.sig
+}
+
+// paramSig renders parameter types as "name:type;..." in name order —
+// the plan-cache key's share of a parameter frame.
+func paramSig(ptypes map[string]types.Type) string {
+	names := make([]string, 0, len(ptypes))
+	for name := range ptypes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		b.WriteString(name + ":" + ptypes[name].String() + ";")
+	}
+	return b.String()
 }
 
 // CheckConsistency runs the object store's structural fsck: ownership

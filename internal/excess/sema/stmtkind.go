@@ -2,35 +2,43 @@ package sema
 
 import "repro/internal/excess/ast"
 
-// KindOf names a statement for per-kind accounting (the database
-// layer's stmt.retrieve, stmt.append, ... metric counters).
-func KindOf(st ast.Statement) string {
+// Kinds lists the statement kind names in KindIndex order, so the
+// database layer resolves its per-kind counters (stmt.retrieve,
+// stmt.append, ...) once instead of on every statement.
+var Kinds = [...]string{"retrieve", "append", "delete", "replace", "set", "execute",
+	"define", "create", "drop", "range", "grant", "other"}
+
+// KindOf names a statement for per-kind accounting.
+func KindOf(st ast.Statement) string { return Kinds[KindIndex(st)] }
+
+// KindIndex is the statement's kind as an index into Kinds.
+func KindIndex(st ast.Statement) int {
 	switch st.(type) {
 	case *ast.Retrieve:
-		return "retrieve"
+		return 0
 	case *ast.Append:
-		return "append"
+		return 1
 	case *ast.Delete:
-		return "delete"
+		return 2
 	case *ast.Replace:
-		return "replace"
+		return 3
 	case *ast.SetStmt:
-		return "set"
+		return 4
 	case *ast.Execute:
-		return "execute"
+		return 5
 	case *ast.DefineType, *ast.DefineEnum, *ast.DefineFunction,
 		*ast.DefineProcedure, *ast.DefineIndex:
-		return "define"
+		return 6
 	case *ast.Create:
-		return "create"
+		return 7
 	case *ast.Drop:
-		return "drop"
+		return 8
 	case *ast.RangeDecl:
-		return "range"
+		return 9
 	case *ast.Grant, *ast.Revoke:
-		return "grant"
+		return 10
 	}
-	return "other"
+	return len(Kinds) - 1
 }
 
 // ReadOnly reports whether a statement only reads engine state, which

@@ -95,11 +95,14 @@ func TestStatementClassificationExhaustive(t *testing.T) {
 	}
 
 	// The static table and the runtime classifier must agree on every
-	// statement kind.
+	// statement kind, and every name in sema.Kinds but "other" must be
+	// some statement's kind (the engine registers a counter for each).
+	named := map[string]bool{}
 	for name, st := range stmtValues {
 		if kind := sema.KindOf(st); kind == "other" {
 			t.Errorf("sema.KindOf(*ast.%s) = %q: every statement kind needs a metrics name", name, kind)
 		}
+		named[sema.KindOf(st)] = true
 		switch lint.StmtClass[name] {
 		case "write":
 			if sema.ReadOnly(st) {
@@ -111,6 +114,12 @@ func TestStatementClassificationExhaustive(t *testing.T) {
 			}
 		default:
 			t.Errorf("lint.StmtClass[%s] = %q is neither write nor mixed", name, lint.StmtClass[name])
+		}
+	}
+
+	for _, kind := range sema.Kinds[:len(sema.Kinds)-1] {
+		if !named[kind] {
+			t.Errorf("sema.Kinds lists %q, but no statement has that kind", kind)
 		}
 	}
 

@@ -50,7 +50,7 @@ type DB struct {
 // analyzer floods from.
 func (d *DB) BindSnapshot() *Snap { return d.store.Snapshot() }
 
-// goodRead is the runReadStmt shape: shared pin, bind, read the bound
+// goodRead is the readStmt shape: shared pin, bind, read the bound
 // snapshot. Clean.
 //
 // extra:acquires db.mu.R

@@ -20,6 +20,7 @@ package object
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -180,6 +181,9 @@ func (s *Store) DropVar(v *catalog.Variable) error {
 				ids = append(ids, id)
 			}
 		}
+		// Delete in OID order: replay must reproduce the same page
+		// traffic, and map order differs run to run.
+		slices.Sort(ids)
 		for _, id := range ids {
 			if err := s.Delete(id); err != nil {
 				return err

@@ -126,12 +126,12 @@ func (bp *BufferPool) Store() PageStore { return bp.store }
 // counter, no locks. Counters are monotonic, so two snapshots bracket
 // the traffic between them even while statements run.
 func (bp *BufferPool) Stats() PoolStats {
-	return PoolStats{
+	return PoolStats{ // fields load in order: WriteBacks first, see newFrame
+		WriteBacks: bp.writeBacks.Load(),
 		Hits:       bp.hits.Load(),
 		Misses:     bp.misses.Load(),
 		Evictions:  bp.evictions.Load(),
 		Flushes:    bp.flushes.Load(),
-		WriteBacks: bp.writeBacks.Load(),
 	}
 }
 
@@ -213,10 +213,15 @@ func (bp *BufferPool) newFrame(sh *poolShard, id PageID) (*frame, error) {
 				return nil, fmt.Errorf("evict page %d: %w", victim.id, err)
 			}
 			bp.flushes.Add(1)
-			bp.writeBacks.Add(1)
 		}
 		delete(sh.frames, victim.id)
 		bp.evictions.Add(1)
+		if victim.dirty {
+			// Counted after its flush and eviction, and loaded before
+			// them by Stats, so no snapshot shows more write-backs than
+			// either.
+			bp.writeBacks.Add(1)
+		}
 		f = victim
 		f.dirty = false
 	}

@@ -78,7 +78,10 @@ type Span struct {
 	Attrs  []Attr        `json:"attrs,omitempty"`
 }
 
-// Phase indexes the per-statement phase accumulator.
+// Phase indexes the per-statement phase accumulator. The first five
+// are every statement's front end and execution; the last four exist
+// only on the write path: waiting for the commit lock, publishing the
+// snapshot, sizing and appending the WAL record, and awaiting its fsync.
 type Phase uint8
 
 const (
@@ -87,11 +90,16 @@ const (
 	PhasePlan
 	PhaseCompile
 	PhaseExecute
-	numPhases
+	PhaseLockWait
+	PhaseCommit
+	PhaseWALAppend
+	PhaseWALDurable
+	NumPhases
 )
 
 // phaseNames must stay in sync with the Phase constants.
-var phaseNames = [numPhases]string{"parse", "check", "plan", "compile", "execute"}
+var phaseNames = [NumPhases]string{"parse", "check", "plan", "compile", "execute",
+	"lockwait", "commit", "wal.append", "wal.durable"}
 
 // Name returns the phase's span name.
 func (p Phase) Name() string { return phaseNames[p] }
@@ -373,7 +381,7 @@ type Trace struct {
 // collects the span tree. The zero value is ready to use and the
 // unsampled path performs no allocation.
 type StmtTrace struct {
-	Durs [numPhases]time.Duration
+	Durs [NumPhases]time.Duration
 	Rows int
 	act  *Active
 }

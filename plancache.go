@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
@@ -24,11 +25,15 @@ import (
 //   - the optimizer-option fingerprint, so toggling a knob (benchmarks do
 //     this mid-run) never serves a plan built under different rules;
 //   - the session's range-declaration fingerprint, because "retrieve
-//     (E.name)" means different things after "range of E is ..." changes.
+//     (E.name)" means different things after "range of E is ..." changes;
+//   - the parameter-type signature, because a checked tree types its
+//     $n / procedure-parameter references from the frame. Prepared
+//     statements and procedure bodies share the one cache this way.
 //
-// Only parameterless retrieves without an into clause are cached: into
-// creates schema (never repeated), and placeholder statements are served
-// by the prepared-statement path, which holds its plan directly.
+// Only retrieves without an into clause are cached: into creates schema
+// (never repeated). A prepared statement additionally pins the entry it
+// last executed (planPin), so a steady-state Exec compares one key and
+// never touches the cache's lock or counters.
 //
 // Entries store the Checked form plus a Cached=true Clone of the plan.
 // The clone is shared by every hit and never mutated — a sampled
@@ -51,11 +56,20 @@ type planKey struct {
 	catVer uint64
 	optsFP uint64
 	ranges string
+	params string
 }
 
 type planEntry struct {
+	key  planKey
 	cq   *sema.CheckedRetrieve
 	plan *algebra.Plan
+}
+
+// planPin is a prepared statement's hold on the cache: its key text,
+// printed once at Prepare, and the entry it last executed.
+type planPin struct {
+	text string
+	last atomic.Pointer[planEntry]
 }
 
 const defaultPlanCacheCap = 256
@@ -74,11 +88,18 @@ func newPlanCache(capacity int, reg *metrics.Registry) *planCache {
 	}
 }
 
-// cacheable reports whether a retrieve may be served from the cache: no
-// into clause (DDL side effect) and no procedure-parameter frame (the
-// checked tree would capture frame-specific types).
-func cacheable(r *ast.Retrieve, params *paramScope) bool {
-	return r.Into == "" && params == nil
+// planKey builds the cache key for statement text under the session's
+// current catalog version, optimizer options, range declarations and
+// parameter types. Callers hold a statement lock, so the parts agree.
+func (s *Session) planKey(text string, params *paramScope) planKey {
+	db := s.db
+	return planKey{
+		text:   text,
+		catVer: db.cat.Version(),
+		optsFP: db.exec.Options().Fingerprint(),
+		ranges: rangesFingerprint(s.sem),
+		params: params.signature(),
+	}
 }
 
 // rangesFingerprint renders a session's range declarations into a stable
@@ -121,8 +142,9 @@ func (pc *planCache) get(key planKey) *planEntry {
 // share the immutable marked copy.
 //
 // extra:acquires plancache.mu.W
-func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Plan) {
-	marked := plan.Clone()
+func (pc *planCache) put(e *planEntry) {
+	key := e.key
+	marked := e.plan.Clone()
 	marked.Cached = true
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -137,7 +159,7 @@ func (pc *planCache) put(key planKey, cq *sema.CheckedRetrieve, plan *algebra.Pl
 			pc.evictions.Inc()
 		}
 	}
-	pc.m[key] = &planEntry{cq: cq, plan: marked}
+	pc.m[key] = &planEntry{key: key, cq: e.cq, plan: marked}
 	pc.fifo = append(pc.fifo, key)
 	pc.size.Set(int64(len(pc.m)))
 }

@@ -102,15 +102,16 @@ func TestPrepareReprepareAfterDDL(t *testing.T) {
 	if got := names(st.MustExec(80)); got != "Ann,Cal,Eve" {
 		t.Fatalf("post-DDL rows: %q — stale plan or stale check", got)
 	}
-	st.mu.Lock()
-	catVer, plan := st.catVer, st.plan
-	st.mu.Unlock()
-	if catVer <= verBefore {
-		t.Errorf("statement not re-prepared: pinned version %d, pre-DDL version %d", catVer, verBefore)
+	pinned := st.pin.last.Load()
+	if pinned == nil {
+		t.Fatalf("re-prepared statement has no pinned plan-cache entry")
+	}
+	if pinned.key.catVer <= verBefore {
+		t.Errorf("statement not re-prepared: pinned version %d, pre-DDL version %d", pinned.key.catVer, verBefore)
 	}
 	// The predicate compares against a parameter, so index selection has
 	// no literal to probe with — but a fresh plan was built.
-	if plan == nil {
+	if pinned.plan == nil {
 		t.Errorf("re-prepared statement has no pinned plan")
 	}
 }

@@ -110,6 +110,31 @@ func ddlStatement(st ast.Statement) bool {
 	return true
 }
 
+// stmtCall is one statement batch on its way through the envelope:
+// what the entry point parsed or prepared, the trace the envelope owns,
+// and what the strategies report back.
+type stmtCall struct {
+	src, kind string
+	stmts     []ast.Statement
+	params    *paramScope
+	start     time.Time
+	parseDur  time.Duration
+	pin       *planPin  // a prepared statement's plan-cache hold; such statements skip parse
+	an        *analysis // EXPLAIN ANALYZE only
+	tr        trace.StmtTrace
+	user      string // captured under the statement's lock
+	lsn       uint64 // highest WAL record appended, awaited after the write lock
+}
+
+// analysis is what EXPLAIN ANALYZE reads back from its retrieve's
+// instrumented run: the checked tree, the plan carrying the runtime
+// actuals, and the buffer-pool delta of the execution.
+type analysis struct {
+	cq   *sema.CheckedRetrieve
+	plan *algebra.Plan
+	pool PoolStats
+}
+
 // Exec parses and runs one or more EXCESS statements, returning the
 // result of the last retrieve (nil if none). Parsing happens before any
 // lock is taken (it only reads the ADT registry, which has its own
@@ -117,138 +142,168 @@ func ddlStatement(st ast.Statement) bool {
 // concurrently with writers; a batch with any write statement
 // serializes on the write lock.
 func (s *Session) Exec(src string) (*Result, error) {
-	db := s.db
 	start := time.Now()
-	stmts, err := parse.Statements(src, db.reg)
-	parseDur := time.Since(start)
+	stmts, err := parse.Statements(src, s.db.reg)
+	c := &stmtCall{src: src, kind: "batch", stmts: stmts, start: start, parseDur: time.Since(start)}
 	if err != nil {
-		db.cErrors.Inc()
+		s.db.cErrors.Inc()
 		return nil, err
 	}
-	kind := "batch"
 	if len(stmts) == 1 {
-		kind = sema.KindOf(stmts[0])
+		c.kind = sema.KindOf(stmts[0])
 	}
-	if allReadOnly(stmts) {
-		return s.execSnapshot(stmts, src, kind, start, parseDur)
-	}
-	return s.execWrite(stmts, src, kind, start, parseDur)
+	return s.run(c)
 }
 
-// execSnapshot runs an all-read-only batch under MVCC: each statement
-// pins the store's latest published snapshot during a short shared-lock
-// window and then executes lock-free against it (runReadStmt), so a
-// reader never waits behind a bulk update and holds nothing a writer
-// waits on during execution.
-//
-// extra:acquires db.mu.R
-func (s *Session) execSnapshot(stmts []ast.Statement, src, kind string, start time.Time, parseDur time.Duration) (*Result, error) {
-	db := s.db
-	if !db.beginPin() {
-		return nil, errDBClosed
+// Query is Exec for a single retrieve; it errors when the source is not
+// exactly one retrieve statement. A retrieve without an into clause
+// runs on the snapshot path, concurrently with writers and other
+// readers; a retrieve into materializes a new variable and takes the
+// write path.
+func (s *Session) Query(src string) (*Result, error) {
+	c, err := s.parseRetrieve(src, "query: %w (use Exec for updates and DDL)")
+	if err != nil {
+		return nil, err
 	}
-	user := s.user
-	es := db.exec.NewState()
-	db.mu.RUnlock()
-	defer es.Release()
-	var tr trace.StmtTrace
-	tr.Begin(db.tracer, start)
-	tr.RecordPhase(trace.PhaseParse, start, parseDur)
-	es.SetTrace(tr.Active())
-	var last *Result
-	runErr := s.labeled(kind, func() error {
-		for _, st := range stmts {
-			r, err := s.runReadStmt(es, st, nil, &tr)
-			if err != nil {
+	return s.run(c)
+}
+
+// parseRetrieve is the front end of the retrieve-only entry points
+// (Query, EXPLAIN ANALYZE): it parses exactly one retrieve, wrapping
+// ErrNotRetrieve in the entry point's message otherwise.
+func (s *Session) parseRetrieve(src, notRetrieve string) (*stmtCall, error) {
+	start := time.Now()
+	st, err := parse.One(src, s.db.reg)
+	c := &stmtCall{src: src, kind: "retrieve", stmts: []ast.Statement{st}, start: start, parseDur: time.Since(start)}
+	if _, ok := st.(*ast.Retrieve); err == nil && !ok {
+		err = fmt.Errorf(notRetrieve, ErrNotRetrieve)
+	}
+	if err != nil {
+		s.db.cErrors.Inc()
+		return nil, err
+	}
+	return c, nil
+}
+
+// run is the statement envelope every entry point enters: Exec, Query,
+// Stmt.Exec and EXPLAIN ANALYZE. It owns the statement's trace from
+// begin to finish or abort, its pprof labels, its stmt.errors
+// accounting (use-after-close is a caller bug, not a statement error,
+// and is not counted) and the durability wait, taken after the write
+// lock is released so that concurrent committers share one fsync.
+// Between those it hands an all-read-only batch to the read strategy
+// (readStmt, one pin window per statement) and anything else to the
+// write strategy (writeStmts).
+func (s *Session) run(c *stmtCall) (*Result, error) {
+	db := s.db
+	c.tr.Begin(db.tracer, c.start)
+	if c.pin == nil {
+		c.tr.RecordPhase(trace.PhaseParse, c.start, c.parseDur)
+	}
+	var res *Result
+	err := s.labeled(c.kind, func() (err error) {
+		if !allReadOnly(c.stmts) {
+			res, err = s.writeStmts(c)
+			return err
+		}
+		for _, st := range c.stmts {
+			if res, err = s.readStmt(c, st.(*ast.Retrieve)); err != nil {
 				return err
-			}
-			if r != nil {
-				last = r
 			}
 		}
 		return nil
 	})
-	if runErr != nil {
-		db.cErrors.Inc()
-		db.abortTrace(s.id, user, src, kind, &tr, start, runErr)
-		return nil, runErr
+	if c.lsn != 0 {
+		pt := c.tr.StartPhase(trace.PhaseWALDurable)
+		if derr := db.waitDurable(c.lsn); derr != nil && err == nil {
+			err = derr
+		}
+		c.tr.EndPhase(pt)
 	}
-	if last != nil {
-		tr.Rows = len(last.Rows)
+	if err != nil {
+		if !errors.Is(err, errDBClosed) {
+			db.cErrors.Inc()
+		}
+		db.abortTrace(s.id, c.user, c.src, c.kind, &c.tr, c.start, err)
+		return nil, err
 	}
-	db.finishTrace(s.id, user, src, kind, &tr, start)
-	return last, nil
+	if res != nil {
+		c.tr.Rows = len(res.Rows)
+	}
+	db.finishTrace(s.id, c.user, c.src, c.kind, &c.tr, c.start)
+	return res, nil
 }
 
-// execWrite runs a batch containing at least one write statement. The
-// whole batch holds the write lock; each statement mutates the live
-// store, publishes a fresh snapshot when it completes (runWriteStmt),
-// and is appended to the WAL — so concurrent snapshot readers observe
-// the batch statement by statement and never a torn statement. The
-// durability wait happens after the lock is released: that hand-off is
-// what lets concurrent committers share one fsync (group commit).
+// readStmt is the read strategy for one retrieve without an into
+// clause. The shared statement lock is held only for the pin window:
+// snapshot pin, plan-cache lookup, check, authorization, planning and
+// closure compilation — everything that must agree with the catalog
+// version the snapshot was published under. Execution happens after
+// the window, entirely against the immutable snapshot, so a reader
+// never waits behind a bulk update and holds nothing a writer waits on.
+//
+// extra:acquires db.mu.R
+// extra:snapshot
+func (s *Session) readStmt(c *stmtCall, r *ast.Retrieve) (*Result, error) {
+	db := s.db
+	if !db.beginPin() {
+		return nil, errDBClosed
+	}
+	db.countStmt(r, c.an)
+	c.user = s.user
+	es := db.exec.NewState()
+	defer es.Release()
+	es.SetTrace(c.tr.Active())
+	es.BindSnapshot(db.store.Snapshot())
+	e, err := s.planRetrieve(es, r, c.params, &c.tr, c.pin, c.an)
+	db.mu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.execPinnedPlan(es, e, c.params, &c.tr, c.an)
+}
+
+// writeStmts is the write strategy: the whole batch holds the write
+// lock; each statement runs through runWriteStmt, which mutates the
+// live store, publishes a fresh snapshot and appends the statement to
+// the WAL — so concurrent snapshot readers observe the batch statement
+// by statement and never a torn statement. The highest LSN is left in
+// c.lsn for the envelope to await once the lock is released.
 //
 // extra:acquires db.wmu.W
-func (s *Session) execWrite(stmts []ast.Statement, src, kind string, start time.Time, parseDur time.Duration) (*Result, error) {
+func (s *Session) writeStmts(c *stmtCall) (*Result, error) {
 	db := s.db
+	pt := c.tr.StartPhase(trace.PhaseLockWait)
+	db.wmu.Lock()
+	c.tr.EndPhase(pt)
+	defer db.wmu.Unlock()
+	// closed is written under both locks (Close takes wmu first), so
+	// reading it under wmu alone is race-free.
+	if db.closed {
+		return nil, errDBClosed
+	}
+	c.user = s.user
+	es := db.exec.NewState()
+	defer es.Release()
+	es.BindLive()
+	es.SetTrace(c.tr.Active())
 	var last *Result
-	var lastLSN uint64
-	var user string
-	var tr trace.StmtTrace
-	runErr := func() error {
-		db.wmu.Lock()
-		defer db.wmu.Unlock()
-		// closed is written under both locks (Close takes wmu first), so
-		// reading it under wmu alone is race-free.
-		if db.closed {
-			return errDBClosed
+	for _, st := range c.stmts {
+		r, lsn, err := s.runWriteStmt(es, st, c.params, &c.tr, c.an)
+		c.lsn = max(c.lsn, lsn)
+		if err != nil {
+			return nil, err
 		}
-		user = s.user
-		es := db.exec.NewState()
-		defer es.Release()
-		es.BindLive()
-		tr.Begin(db.tracer, start)
-		tr.RecordPhase(trace.PhaseParse, start, parseDur)
-		es.SetTrace(tr.Active())
-		return s.labeled(kind, func() error {
-			for _, st := range stmts {
-				r, lsn, err := s.runWriteStmt(es, st, nil, &tr)
-				if lsn > lastLSN {
-					lastLSN = lsn
-				}
-				if err != nil {
-					return err
-				}
-				if r != nil {
-					last = r
-				}
-			}
-			return nil
-		})
-	}()
-	if derr := db.waitDurable(lastLSN); derr != nil && runErr == nil {
-		runErr = derr
-	}
-	if runErr != nil {
-		// Use-after-close is a caller bug, not a commit failure: no
-		// trace was begun, and counting it would conflate it with real
-		// statement errors in the metrics.
-		if errors.Is(runErr, errDBClosed) {
-			return nil, runErr
+		if r != nil {
+			last = r
 		}
-		db.cErrors.Inc()
-		db.abortTrace(s.id, user, src, kind, &tr, start, runErr)
-		return nil, runErr
 	}
-	if last != nil {
-		tr.Rows = len(last.Rows)
-	}
-	db.finishTrace(s.id, user, src, kind, &tr, start)
 	return last, nil
 }
 
 // runWriteStmt runs one statement of a write batch, publishes the
-// resulting store snapshot, and appends the statement to the WAL.
+// resulting store snapshot, and appends the statement to the WAL:
+// size → run → Store.Commit → logStmt, each timed as its own phase.
 // Publication happens even when the statement errors: the engine has no
 // rollback, so whatever the statement wrote before failing is live
 // state and must become visible to snapshot readers exactly as it is to
@@ -263,142 +318,133 @@ func (s *Session) execWrite(stmts []ast.Statement, src, kind string, start time.
 // extra:requires db.wmu.W
 // extra:acquires db.mu.W
 // extra:mutates
-func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace) (*Result, uint64, error) {
+func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace, an *analysis) (*Result, uint64, error) {
 	db := s.db
 	if ddlStatement(st) {
+		pt := tr.StartPhase(trace.PhaseLockWait)
 		db.mu.Lock()
+		tr.EndPhase(pt)
 		defer db.mu.Unlock()
 	}
 	// Size the WAL record before running the statement: one the log
 	// cannot hold refuses the statement here, with nothing mutated and
 	// nothing published (the engine has no rollback to undo with).
+	pt := tr.StartPhase(trace.PhaseWALAppend)
 	rec, rerr := db.stmtRecord(s, st, params)
+	tr.EndPhase(pt)
 	if rerr != nil {
 		return nil, 0, rerr
 	}
 	catVer := db.cat.Version()
-	r, err := s.runStmt(es, st, params, tr)
+	r, err := s.runStmt(es, st, params, tr, an)
+	pt = tr.StartPhase(trace.PhaseCommit)
 	published, cerr := db.store.Commit()
+	tr.EndPhase(pt)
 	if cerr != nil && err == nil {
 		err = cerr
 	}
+	pt = tr.StartPhase(trace.PhaseWALAppend)
 	lsn, lerr := db.logStmt(rec, err, published || db.cat.Version() != catVer)
+	tr.EndPhase(pt)
 	if lerr != nil && err == nil {
 		err = lerr
 	}
 	return r, lsn, err
 }
 
-// runReadStmt runs one read-only statement (a retrieve without an into
-// clause — the only read-classified kind) against a pinned snapshot.
-// The shared statement lock is held only for the pin window: snapshot
-// pin, plan-cache lookup, check, authorization, planning and closure
-// compilation — everything that must agree with the catalog version the
-// snapshot was published under. Execution happens after the window,
-// entirely against the immutable snapshot.
-//
-// extra:acquires db.mu.R
-// extra:snapshot
-func (s *Session) runReadStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace) (*Result, error) {
+// planRetrieve is the single check/plan/cache function for every
+// executed retrieve, read or write path. It runs inside the caller's
+// pin window (shared statement lock) or under the write lock, so the
+// plan-cache key, the checked catalog state and the bound store view
+// all agree on one catalog version. A prepared statement first tries
+// the entry it pinned last time (no cache traffic when the key still
+// matches, so eviction never forces it to re-plan), then the cache;
+// EXPLAIN ANALYZE and retrieve-into bypass the cache. Cache hits skip
+// check and plan entirely; authorization still runs on every execution
+// — privileges change without bumping the catalog.
+func (s *Session) planRetrieve(es *exec.State, r *ast.Retrieve, params *paramScope, tr *trace.StmtTrace, pin *planPin, an *analysis) (*planEntry, error) {
 	db := s.db
-	r, ok := st.(*ast.Retrieve)
-	if !ok {
-		return nil, fmt.Errorf("unhandled read statement %T", st)
+	var e *planEntry
+	var key planKey
+	useCache := r.Into == "" && an == nil
+	if useCache {
+		if pin != nil {
+			key = s.planKey(pin.text, params)
+			if p := pin.last.Load(); p != nil && p.key == key {
+				e = p
+			}
+		} else {
+			key = s.planKey(ast.Print(r), params)
+		}
+		if e == nil {
+			e = db.plans.get(key)
+		}
 	}
-	db.metrics.Counter("stmt." + sema.KindOf(st)).Inc()
-	if !db.beginPin() {
-		return nil, errDBClosed
+	if e == nil {
+		pt := tr.StartPhase(trace.PhaseCheck)
+		cq, err := s.checker(params).CheckRetrieve(r)
+		tr.EndPhase(pt)
+		if err != nil {
+			return nil, err
+		}
+		e = &planEntry{key: key, cq: cq}
 	}
-	es.BindSnapshot(db.store.Snapshot())
-	cq, plan, err := s.planRetrieve(es, r, params, tr)
-	db.mu.RUnlock()
-	if err != nil {
+	if err := s.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
 		return nil, err
 	}
-	return s.execPinnedPlan(es, cq, plan, params, tr)
+	if e.plan == nil {
+		pt := tr.StartPhase(trace.PhasePlan)
+		e.plan = es.Plan(e.cq.Query)
+		tr.EndPhase(pt)
+		if useCache {
+			db.plans.put(e)
+		}
+	}
+	if pin != nil && useCache {
+		pin.last.Store(e)
+	}
+	// Warm the expression-closure memo for the plan's predicates and
+	// targets. On a repeated statement every lookup hits the memo, so
+	// this phase collapses to map reads.
+	pt := tr.StartPhase(trace.PhaseCompile)
+	es.CompilePlan(e.cq, e.plan)
+	tr.EndPhase(pt)
+	return e, nil
 }
 
-// execPinnedPlan runs a compiled retrieve against the State's pinned
-// snapshot after the pin window has closed: no engine lock is held, so
-// however long the scan runs, writers proceed. Sampled statements run
-// instrumented, exactly like EXPLAIN ANALYZE, and record the pinned
-// snapshot version on the statement span; EnableRuntime mutates the
-// plan, and cached plans are shared by concurrent statements, so the
-// instrumented run uses a private clone.
-func (s *Session) execPinnedPlan(es *exec.State, cq *sema.CheckedRetrieve, plan *algebra.Plan, params *paramScope, tr *trace.StmtTrace) (*Result, error) {
+// execPinnedPlan runs a planned retrieve against the State's bound
+// view: after the pin window on the read path, so however long the scan
+// runs no engine lock is held. Sampled statements and EXPLAIN ANALYZE
+// run instrumented: the plan's runtime actuals become operator spans
+// and the pool counter delta becomes storage attribution. EnableRuntime
+// mutates the plan, and cached plans are shared by concurrent
+// statements, so the instrumented run uses a private clone.
+func (s *Session) execPinnedPlan(es *exec.State, e *planEntry, params *paramScope, tr *trace.StmtTrace, an *analysis) (*Result, error) {
 	db := s.db
+	plan := e.plan
 	var rt *algebra.PlanRuntime
 	var poolBase PoolStats
-	if tr.Sampled() {
-		tr.Active().AttrInt(0, "snapshot.version", int64(es.SnapshotVersion()))
+	if tr.Sampled() || an != nil {
+		if v := es.SnapshotVersion(); v != 0 {
+			tr.Active().AttrInt(0, "snapshot.version", int64(v))
+		}
 		plan = plan.Clone()
 		rt = plan.EnableRuntime()
 		poolBase = db.pool.Stats()
 	}
 	pt := tr.StartPhase(trace.PhaseExecute)
 	res, err := withParams(es, params, func() (*Result, error) {
-		return es.RetrievePlan(cq, plan)
+		return es.RetrievePlan(e.cq, plan)
 	})
 	if rt != nil {
-		s.addRetrieveSpans(tr, pt, plan, rt, poolBase)
+		pool := db.pool.Stats().Sub(poolBase)
+		addRetrieveSpans(tr, pt, plan, rt, pool)
+		if an != nil {
+			an.cq, an.plan, an.pool = e.cq, plan, pool
+		}
 	}
 	tr.EndPhase(pt)
 	return res, err
-}
-
-// planRetrieve resolves the checked tree and plan for a snapshot-bound
-// retrieve inside the caller's pin window, so the plan-cache key, the
-// checked catalog state and the pinned snapshot all agree on one
-// catalog version. Cache hits skip check and plan entirely;
-// authorization still runs on every execution — privileges change
-// without bumping the catalog.
-//
-// extra:requires db.mu.R
-func (s *Session) planRetrieve(es *exec.State, st *ast.Retrieve, params *paramScope, tr *trace.StmtTrace) (*sema.CheckedRetrieve, *algebra.Plan, error) {
-	db := s.db
-	var key planKey
-	var cq *sema.CheckedRetrieve
-	var plan *algebra.Plan
-	useCache := cacheable(st, params)
-	if useCache {
-		key = planKey{
-			text:   ast.Print(st),
-			catVer: db.cat.Version(),
-			optsFP: db.exec.Options().Fingerprint(),
-			ranges: rangesFingerprint(s.sem),
-		}
-		if e := db.plans.get(key); e != nil {
-			cq, plan = e.cq, e.plan
-		}
-	}
-	if cq == nil {
-		ck := s.checker(params)
-		pt := tr.StartPhase(trace.PhaseCheck)
-		checked, err := ck.CheckRetrieve(st)
-		tr.EndPhase(pt)
-		if err != nil {
-			return nil, nil, err
-		}
-		cq = checked
-	}
-	if err := s.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
-		return nil, nil, err
-	}
-	if plan == nil {
-		pt := tr.StartPhase(trace.PhasePlan)
-		plan = es.Plan(cq.Query)
-		tr.EndPhase(pt)
-		if useCache {
-			db.plans.put(key, cq, plan)
-		}
-	}
-	// Warm the expression-closure memo for the plan's predicates and
-	// targets. On a repeated statement every lookup hits the memo, so
-	// this phase collapses to map reads.
-	pt := tr.StartPhase(trace.PhaseCompile)
-	es.CompilePlan(cq, plan)
-	tr.EndPhase(pt)
-	return cq, plan, nil
 }
 
 // labeled runs fn, attaching runtime/pprof labels (session, stmt_kind)
@@ -414,31 +460,6 @@ func (s *Session) labeled(kind string, fn func() error) error {
 		pprof.Labels("session", strconv.FormatInt(s.id, 10), "stmt_kind", kind),
 		func(context.Context) { err = fn() })
 	return err
-}
-
-// Query is Exec for a single retrieve; it errors when the source is not
-// exactly one retrieve statement. A retrieve without an into clause
-// runs on the snapshot path, concurrently with writers and other
-// readers; a retrieve into materializes a new variable and takes the
-// write path.
-func (s *Session) Query(src string) (*Result, error) {
-	db := s.db
-	start := time.Now()
-	st, err := parse.One(src, db.reg)
-	parseDur := time.Since(start)
-	if err != nil {
-		db.cErrors.Inc()
-		return nil, err
-	}
-	r, ok := st.(*ast.Retrieve)
-	if !ok {
-		db.cErrors.Inc()
-		return nil, fmt.Errorf("query: %w (use Exec for updates and DDL)", ErrNotRetrieve)
-	}
-	if sema.ReadOnly(st) {
-		return s.execSnapshot([]ast.Statement{r}, src, "retrieve", start, parseDur)
-	}
-	return s.execWrite([]ast.Statement{r}, src, "retrieve", start, parseDur)
 }
 
 // MustExec runs statements and panics on error; for examples and tests.
@@ -462,29 +483,28 @@ func (s *Session) MustQuery(src string) *Result {
 // runStmt dispatches one statement of a write batch (or a procedure
 // body) through the session's per-statement execution state, reading
 // and mutating the live store. params provides the parameter scope when
-// executing procedure bodies; tr (optional) accumulates phase durations
-// for the statement-level trace. Callers hold the write lock for the
-// whole call; the dispatch annotation keeps the lock checker
-// cross-checking the arms against lint.StmtClass so a new statement
-// kind cannot be dispatched without being classified. Read-only
-// retrieves never arrive here from Exec/Query (they take runReadStmt's
-// snapshot path); the Retrieve arm serves mixed batches, retrieve-into
-// and procedure bodies, all of which must see the batch's own earlier
-// uncommitted writes.
+// executing procedure bodies and prepared statements; tr (nil for
+// procedure bodies and WAL replay) accumulates phase durations for the
+// statement-level trace, and an is non-nil under EXPLAIN ANALYZE.
+// Callers hold the write lock for the whole call; the dispatch
+// annotation keeps the lock checker cross-checking the arms against
+// lint.StmtClass so a new statement kind cannot be dispatched without
+// being classified. Read-only retrieves never arrive here from the
+// envelope (they take readStmt's snapshot path); the Retrieve arm
+// serves mixed batches, retrieve-into and procedure bodies, all of
+// which must see the batch's own earlier uncommitted writes.
 //
 // extra:requires db.wmu.W
 // extra:dispatch db.wmu sema.ReadOnly
-func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace) (*Result, error) {
+func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, tr *trace.StmtTrace, an *analysis) (*Result, error) {
 	db := s.db
-	db.metrics.Counter("stmt." + sema.KindOf(st)).Inc()
-	if tr != nil {
-		// Non-retrieve statements do not split phases; their whole cost
-		// lands in the execute phase. Retrieves are timed per phase in
-		// their case below.
-		if _, isRet := st.(*ast.Retrieve); !isRet {
-			pt := tr.StartPhase(trace.PhaseExecute)
-			defer tr.EndPhase(pt)
-		}
+	db.countStmt(st, an)
+	// Non-retrieve statements do not split phases; their whole cost
+	// lands in the execute phase. Retrieves are timed per phase by
+	// planRetrieve and execPinnedPlan.
+	if _, isRet := st.(*ast.Retrieve); !isRet {
+		pt := tr.StartPhase(trace.PhaseExecute)
+		defer tr.EndPhase(pt)
 	}
 	switch st := st.(type) {
 	case *ast.DefineType:
@@ -552,80 +572,16 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 	case *ast.Revoke:
 		return nil, db.auth.Revoke(s.user, st.Priv, st.On, st.From)
 	case *ast.Retrieve:
-		// Compile-once path: parameterless retrieves without an into
-		// clause are looked up in the engine plan cache; a hit skips
-		// check and plan entirely and shares the cached (immutable)
-		// checked tree and plan. Authorization still runs on every
-		// execution — privileges change without bumping the catalog.
-		var key planKey
-		var cq *sema.CheckedRetrieve
-		var plan *algebra.Plan
-		useCache := cacheable(st, params)
-		if useCache {
-			key = planKey{
-				text:   ast.Print(st),
-				catVer: db.cat.Version(),
-				optsFP: db.exec.Options().Fingerprint(),
-				ranges: rangesFingerprint(s.sem),
-			}
-			if e := db.plans.get(key); e != nil {
-				cq, plan = e.cq, e.plan
-			}
-		}
-		if cq == nil {
-			ck := s.checker(params)
-			pt := tr.StartPhase(trace.PhaseCheck)
-			checked, err := ck.CheckRetrieve(st)
-			tr.EndPhase(pt)
-			if err != nil {
-				return nil, err
-			}
-			cq = checked
-		}
-		if err := s.authQuery(cq.Query, nil, targetExprs(cq)...); err != nil {
-			return nil, err
-		}
-		var pt trace.PhaseTimer
-		if plan == nil {
-			pt = tr.StartPhase(trace.PhasePlan)
-			plan = es.Plan(cq.Query)
-			tr.EndPhase(pt)
-			if useCache {
-				db.plans.put(key, cq, plan)
-			}
-		}
-		// Warm the expression-closure memo for the plan's predicates and
-		// targets. On a repeated statement every lookup hits the memo, so
-		// this phase collapses to map reads.
-		pt = tr.StartPhase(trace.PhaseCompile)
-		es.CompilePlan(cq, plan)
-		tr.EndPhase(pt)
-		// Sampled statements run instrumented, exactly like EXPLAIN
-		// ANALYZE: the plan's runtime actuals become operator spans and
-		// the pool counter delta becomes storage attribution after the
-		// run. Unsampled statements take the untraced executor path.
-		// EnableRuntime mutates the plan, and cached plans are shared by
-		// concurrent statements, so instrument a private clone.
-		var rt *algebra.PlanRuntime
-		var poolBase PoolStats
-		if tr.Sampled() {
-			plan = plan.Clone()
-			rt = plan.EnableRuntime()
-			poolBase = db.pool.Stats()
-		}
-		pt = tr.StartPhase(trace.PhaseExecute)
-		res, err := withParams(es, params, func() (*Result, error) {
-			return es.RetrievePlan(cq, plan)
-		})
-		if rt != nil {
-			s.addRetrieveSpans(tr, pt, plan, rt, poolBase)
-		}
-		tr.EndPhase(pt)
+		e, err := s.planRetrieve(es, st, params, tr, nil, an)
 		if err != nil {
 			return nil, err
 		}
-		if cq.Into != "" {
-			db.auth.SetOwner(cq.Into, s.user)
+		res, err := s.execPinnedPlan(es, e, params, tr, an)
+		if err != nil {
+			return nil, err
+		}
+		if e.cq.Into != "" {
+			db.auth.SetOwner(e.cq.Into, s.user)
 		}
 		return res, nil
 	case *ast.Append:
@@ -641,7 +597,7 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 		if err := s.authQuery(ca.Query, []string{wr}); err != nil {
 			return nil, err
 		}
-		_, err = withParamsN(es, params, func() (int, error) { return es.Append(ca) })
+		_, err = withParams(es, params, func() (int, error) { return es.Append(ca) })
 		return nil, err
 	case *ast.Delete:
 		ck := s.checker(params)
@@ -652,7 +608,7 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 		if err := s.authQuery(cd.Query, []string{cd.Var.Extent}); err != nil {
 			return nil, err
 		}
-		_, err = withParamsN(es, params, func() (int, error) { return es.Delete(cd) })
+		_, err = withParams(es, params, func() (int, error) { return es.Delete(cd) })
 		return nil, err
 	case *ast.Replace:
 		ck := s.checker(params)
@@ -663,7 +619,7 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 		if err := s.authQuery(cr.Query, []string{cr.Var.Extent}); err != nil {
 			return nil, err
 		}
-		_, err = withParamsN(es, params, func() (int, error) { return es.Replace(cr) })
+		_, err = withParams(es, params, func() (int, error) { return es.Replace(cr) })
 		return nil, err
 	case *ast.SetStmt:
 		ck := s.checker(params)
@@ -674,7 +630,7 @@ func (s *Session) runStmt(es *exec.State, st ast.Statement, params *paramScope, 
 		if err := s.authQuery(cs.Query, []string{cs.VarName}); err != nil {
 			return nil, err
 		}
-		_, err = withParams(es, params, func() (*Result, error) { return nil, es.Set(cs) })
+		_, err = withParams(es, params, func() (int, error) { return 0, es.Set(cs) })
 		return nil, err
 	case *ast.Execute:
 		return nil, s.runExecute(es, st, params)
@@ -686,17 +642,9 @@ func (s *Session) checker(params *paramScope) *sema.Checker {
 	return sema.NewChecker(s.db.cat, s.sem, params.typesOrNil())
 }
 
-// withParams runs fn with the procedure parameter frame installed on the
-// statement's execution state.
-func withParams(es *exec.State, params *paramScope, fn func() (*Result, error)) (*Result, error) {
-	if params != nil {
-		es.PushParams(params.values)
-		defer es.PopParams()
-	}
-	return fn()
-}
-
-func withParamsN(es *exec.State, params *paramScope, fn func() (int, error)) (int, error) {
+// withParams runs fn with the statement's parameter frame installed on
+// its execution state.
+func withParams[T any](es *exec.State, params *paramScope, fn func() (T, error)) (T, error) {
 	if params != nil {
 		es.PushParams(params.values)
 		defer es.PopParams()
@@ -721,6 +669,7 @@ func (s *Session) runExecute(es *exec.State, stmt *ast.Execute, params *paramSco
 	for _, p := range ce.Proc.Params {
 		ptypes[p.Name] = p.Type
 	}
+	sig := paramSig(ptypes)
 	// Definer rights: the body runs with the owner's privileges, so a
 	// procedure can encapsulate updates its caller could not perform
 	// directly (the IDM stored-command pattern the paper builds data
@@ -733,13 +682,13 @@ func (s *Session) runExecute(es *exec.State, stmt *ast.Execute, params *paramSco
 		s.user = ce.Proc.Owner
 	}
 	defer func() { s.user = caller }()
-	_, err = withParamsN(es, params, func() (int, error) {
+	_, err = withParams(es, params, func() (int, error) {
 		return es.Execute(ce, func(frame map[string]value.Value) error {
-			scope := &paramScope{types: ptypes, values: frame}
+			scope := &paramScope{types: ptypes, values: frame, sig: sig}
 			for _, bodyStmt := range ce.Proc.Body {
 				// Body statements run untraced: their cost is already
 				// inside the invoking execute's span.
-				if _, err := s.runStmt(es, bodyStmt, scope, nil); err != nil {
+				if _, err := s.runStmt(es, bodyStmt, scope, nil, nil); err != nil {
 					return fmt.Errorf("procedure %s: %w", ce.Proc.Name, err)
 				}
 			}

@@ -65,11 +65,9 @@ func (db *DB) Traces() []*Trace { return db.tracer.Traces() }
 // extra:acquires db.slowMu.W
 func (db *DB) finishTrace(sid int64, user, src, kind string, tr *trace.StmtTrace, start time.Time) {
 	total := time.Since(start)
-	db.hParse.Observe(tr.Dur(trace.PhaseParse))
-	db.hCheck.Observe(tr.Dur(trace.PhaseCheck))
-	db.hPlan.Observe(tr.Dur(trace.PhasePlan))
-	db.hCompile.Observe(tr.Dur(trace.PhaseCompile))
-	db.hExecute.Observe(tr.Dur(trace.PhaseExecute))
+	for p, h := range db.hPhase {
+		h.Observe(tr.Durs[p])
+	}
 	db.hStmt.Observe(total)
 	db.cRows.Add(uint64(tr.Rows))
 	traceID := tr.TraceID()
@@ -119,7 +117,7 @@ func (db *DB) abortTrace(sid int64, user, src, kind string, tr *trace.StmtTrace,
 // from the pool's atomic counters bracketing the run: under concurrent
 // statements a neighbour's traffic can bleed into the delta, the
 // documented price of keeping Pin unhooked (see DESIGN.md §9).
-func (s *Session) addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Plan, rt *algebra.PlanRuntime, poolBase PoolStats) {
+func addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, plan *algebra.Plan, rt *algebra.PlanRuntime, delta PoolStats) {
 	a := tr.Active()
 	execSpan := pt.Span()
 	start := pt.Start()
@@ -142,7 +140,6 @@ func (s *Session) addRetrieveSpans(tr *trace.StmtTrace, pt trace.PhaseTimer, pla
 		}
 		parent = sp
 	}
-	delta := s.db.pool.Stats().Sub(poolBase)
 	sp := a.AddSpan(execSpan, trace.KindStorage, "buffer pool", start, 0)
 	a.AttrInt(sp, "hits", int64(delta.Hits))
 	a.AttrInt(sp, "misses", int64(delta.Misses))

@@ -7,14 +7,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/parse"
 	"repro/internal/excess/sema"
 	"repro/internal/oid"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -186,9 +184,7 @@ func (s *Session) replayStmt(r *wal.Record) error {
 	es := db.exec.NewState()
 	defer es.Release()
 	es.BindLive()
-	var tr trace.StmtTrace
-	tr.Begin(db.tracer, time.Now())
-	_, _, err = s.runWriteStmt(es, st, params, &tr)
+	_, _, err = s.runWriteStmt(es, st, params, nil, nil)
 	return err
 }
 
@@ -366,7 +362,7 @@ func decodeParams(db *DB, s *Session, st ast.Statement, data [][]byte) (*paramSc
 		tmap[name] = t
 		vmap[name] = v
 	}
-	return &paramScope{types: tmap, values: vmap}, nil
+	return &paramScope{types: tmap, values: vmap, sig: paramSig(tmap)}, nil
 }
 
 // Checkpoint makes the WAL short: it forces the log durable, writes an
