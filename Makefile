@@ -32,7 +32,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePrintReparse -fuzztime=30s ./internal/excess/parse/
 
 bench:
-	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase' -benchtime=1x ./...
+	$(GO) test -short -run '^$$' -bench 'Join|AccessMethod|RefChase|PreparedScanParallel' -benchtime=1x ./...
 
 # The benchmark harness is its own module, so `go test ./...` at the
 # root does not reach it: run its smoke test (every workload briefly,

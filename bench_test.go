@@ -457,3 +457,32 @@ func writerInterferenceBench(b *testing.B, withWriter bool) {
 
 func BenchmarkWriterInterferenceQuiet(b *testing.B)      { writerInterferenceBench(b, false) }
 func BenchmarkWriterInterferenceBulkWriter(b *testing.B) { writerInterferenceBench(b, true) }
+
+// The shared-plan path: every goroutine executes one prepared Stmt, so
+// all of them run the same plan-cache entry and its compiled closures
+// at once. A per-row lock or lookup in expression evaluation shows up
+// here as contention that a single-goroutine benchmark cannot see.
+func BenchmarkPreparedScanParallel(b *testing.B) {
+	db := mustWorkload(b, workload.Params{Departments: 20, Employees: 2000, Seed: 1}, 4096)
+	st, err := db.Prepare(`retrieve (E.salary) from E in Employees where E.name = $1`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Exec("emp-000042"); err != nil { // plan and warm the pool
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			res, err := st.Exec("emp-000042")
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if len(res.Rows) != 1 {
+				b.Errorf("got %d rows, want 1", len(res.Rows))
+				return
+			}
+		}
+	})
+}

@@ -69,6 +69,9 @@ func (db *DB) Insert(extent string, attrs Attrs) (Obj, error) {
 func (db *DB) insertTuple(extent string, tv *value.Tuple) (oid.OID, uint64, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
+	if db.closed {
+		return 0, 0, errDBClosed
+	}
 	var rec *wal.Record
 	if db.wal != nil {
 		// An unencodable or oversize tuple refuses the insert while
@@ -125,6 +128,9 @@ func (db *DB) SetRef(obj Obj, attr string, target Obj) error {
 func (db *DB) setRefLocked(obj Obj, attr string, target Obj) (uint64, error) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
+	if db.closed {
+		return 0, errDBClosed
+	}
 	tv, ok, err := db.store.Get(obj.id)
 	if err != nil {
 		return 0, err

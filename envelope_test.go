@@ -10,43 +10,51 @@ import (
 )
 
 // TestUseAfterCloseUniform drives every entry point of the statement
-// envelope against a closed database with every statement traced: each
-// must fail with errDBClosed, leave stmt.errors alone (use-after-close
-// is a caller bug, not a statement error), and finish every trace and
-// span it started.
+// envelope, and the Go-API writes beside it, against a closed database
+// with every statement traced: each must fail with errDBClosed, leave
+// the store version and stmt.errors alone (use-after-close is a caller
+// bug, not a statement error), and finish every trace and span it
+// started.
 func TestUseAfterCloseUniform(t *testing.T) {
 	const q = `retrieve (E.name) from E in Employees where E.salary > $1`
 	for _, tc := range []struct {
 		name string
-		run  func(db *DB, read, write *Stmt) error
+		run  func(db *DB, read, write *Stmt, emp Obj) error
 	}{
-		{"Exec read", func(db *DB, _, _ *Stmt) error {
+		{"Exec read", func(db *DB, _, _ *Stmt, _ Obj) error {
 			_, err := db.Exec(`retrieve (E.name) from E in Employees`)
 			return err
 		}},
-		{"Exec write", func(db *DB, _, _ *Stmt) error {
+		{"Exec write", func(db *DB, _, _ *Stmt, _ Obj) error {
 			_, err := db.Exec(`append to Employees (name = "Zed", age = 1, salary = 1)`)
 			return err
 		}},
-		{"Query", func(db *DB, _, _ *Stmt) error {
+		{"Query", func(db *DB, _, _ *Stmt, _ Obj) error {
 			_, err := db.Query(`retrieve (E.name) from E in Employees`)
 			return err
 		}},
-		{"prepared read", func(_ *DB, read, _ *Stmt) error {
+		{"prepared read", func(_ *DB, read, _ *Stmt, _ Obj) error {
 			_, err := read.Exec(80)
 			return err
 		}},
-		{"prepared write", func(_ *DB, _, write *Stmt) error {
+		{"prepared write", func(_ *DB, _, write *Stmt, _ Obj) error {
 			_, err := write.Exec("Zed")
 			return err
 		}},
-		{"ExplainAnalyze", func(db *DB, _, _ *Stmt) error {
+		{"ExplainAnalyze", func(db *DB, _, _ *Stmt, _ Obj) error {
 			_, err := db.ExplainAnalyze(`retrieve (E.name) from E in Employees`)
 			return err
 		}},
-		{"ExplainAnalyze into", func(db *DB, _, _ *Stmt) error {
+		{"ExplainAnalyze into", func(db *DB, _, _ *Stmt, _ Obj) error {
 			_, err := db.ExplainAnalyze(`retrieve into Rich (E.name) from E in Employees`)
 			return err
+		}},
+		{"Insert", func(db *DB, _, _ *Stmt, _ Obj) error {
+			_, err := db.Insert("Employees", Attrs{"name": "Zed", "age": 1, "salary": 1})
+			return err
+		}},
+		{"SetRef", func(db *DB, _, _ *Stmt, emp Obj) error {
+			return db.SetRef(emp, "dept", Obj{})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,11 +71,19 @@ func TestUseAfterCloseUniform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			emp, err := db.Insert("Employees", Attrs{"name": "Yan", "age": 1, "salary": 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			read.MustExec(80)
 			db.Close()
 			errsBefore := db.MetricsSnapshot().Counters["stmt.errors"]
-			if err := tc.run(db, read, write); !errors.Is(err, errDBClosed) {
+			verBefore := db.store.Version()
+			if err := tc.run(db, read, write, emp); !errors.Is(err, errDBClosed) {
 				t.Fatalf("error = %v, want errDBClosed", err)
+			}
+			if got := db.store.Version(); got != verBefore {
+				t.Errorf("store version moved %d -> %d on use-after-close", verBefore, got)
 			}
 			if got := db.MetricsSnapshot().Counters["stmt.errors"]; got != errsBefore {
 				t.Errorf("stmt.errors moved %d -> %d on use-after-close", errsBefore, got)

@@ -463,16 +463,6 @@ func (db *DB) MustExec(src string) *Result { return db.def.MustExec(src) }
 // MustQuery runs a retrieve and panics on error.
 func (db *DB) MustQuery(src string) *Result { return db.def.MustQuery(src) }
 
-// targetExprs collects the bound target expressions of a retrieve (for
-// authorization walks).
-func targetExprs(cq *sema.CheckedRetrieve) []sema.Expr {
-	texprs := make([]sema.Expr, len(cq.Targets))
-	for i, tc := range cq.Targets {
-		texprs[i] = tc.Expr
-	}
-	return texprs
-}
-
 // paramScope carries the parameter names/types/values of an executing
 // procedure body or prepared statement; sig is paramSig of the types.
 type paramScope struct {

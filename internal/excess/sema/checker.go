@@ -88,6 +88,15 @@ type CheckedRetrieve struct {
 	Into       string
 }
 
+// TargetExprs returns the bound target expressions, in target order.
+func (cq *CheckedRetrieve) TargetExprs() []Expr {
+	out := make([]Expr, len(cq.Targets))
+	for i, t := range cq.Targets {
+		out[i] = t.Expr
+	}
+	return out
+}
+
 // CheckedAppend is a bound append. Either Extent names a top-level
 // collection, or Owner+Steps locate a nested collection inside an object
 // or database variable. Elem is the collection's element component; the

@@ -88,8 +88,12 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 		return nil, err
 	}
 	if body.expr != nil {
+		run := body.fn
+		if ex.opts.NoCompiledExprs {
+			run = walkerFn(body.expr)
+		}
 		bb := newBinding()
-		v, err := ex.eval(&evalCtx{b: bb}, body.expr)
+		v, err := run(ex, &evalCtx{b: bb})
 		bb.release()
 		if err != nil {
 			return nil, fmt.Errorf("function %s: %w", fn.Name, err)
@@ -125,12 +129,12 @@ func (ex *State) callFunction(fn *catalog.Function, args []value.Value) (value.V
 	}
 }
 
-// bindBody returns the memoized bound body of a function, binding it on
-// first use. The cache lives on the shared engine core, so concurrent
-// statements calling the same function reuse one bound body; fnMu is
-// held across binding (binding is pure checker work over the immutable
-// catalog), which serializes first calls but keeps the cache free of
-// duplicate entries.
+// bindBody returns the memoized bound body of a function, binding it
+// (and compiling an expression body) on first use. The cache lives on
+// the shared engine core, so concurrent statements calling the same
+// function reuse one bound body; fnMu is held across binding (binding
+// is pure checker work over the immutable catalog), which serializes
+// first calls but keeps the cache free of duplicate entries.
 //
 // extra:acquires fnMu.W
 func (ex *Executor) bindBody(fn *catalog.Function, paramTypes map[string]types.Type) (*boundBody, error) {
@@ -146,7 +150,7 @@ func (ex *Executor) bindBody(fn *catalog.Function, paramTypes map[string]types.T
 		if err != nil {
 			return nil, fmt.Errorf("function %s: %w", fn.Name, err)
 		}
-		b.expr = e
+		b.expr, b.fn = e, ex.compileCounted(e)
 	} else {
 		cq, err := ck.CheckRetrieve(fn.Query)
 		if err != nil {

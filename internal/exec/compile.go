@@ -35,88 +35,115 @@ import (
 // execution state and the current binding.
 type compiledExpr func(*State, *evalCtx) (value.Value, error)
 
-// maxCompiledExprs bounds the executor's closure memo. Cache-missing
-// statements mint fresh sema.Expr trees on every execution, so an
-// unbounded pointer-keyed memo would grow without limit; when the memo
-// fills, the whole epoch is dropped and compilation starts over (the
-// handful of live prepared statements recompile in microseconds).
-const maxCompiledExprs = 4096
-
-// evalC evaluates an expression through its compiled closure, falling
-// back to the interpreting walker when compilation is disabled
-// (Options.NoCompiledExprs — the differential oracle) or when the
-// context carries grouped-aggregate values, which only the walker
-// threads through.
-func (ex *State) evalC(ctx *evalCtx, e sema.Expr) (value.Value, error) {
-	if ex.opts.NoCompiledExprs || ctx.aggVals != nil {
-		return ex.eval(ctx, e)
-	}
-	return ex.compiled(e)(ex, ctx)
+// Code is a plan's compiled form: one closure for every expression the
+// executor evaluates per row, addressed by the expression's position in
+// the plan and the statement. It is built once, with the plan, and is
+// immutable afterwards, so the plan cache shares one Code between every
+// statement that hits the entry; a cloned (instrumented) plan keeps
+// its original's Code, since cloning preserves positions.
+type Code struct {
+	nodes   []nodeCode     // parallel to Plan.Nodes
+	final   []compiledExpr // Plan.Final
+	forAll  []compiledExpr // Plan.ForAll
+	out     []compiledExpr // per-row outputs: targets, DML values or arguments
+	groupBy []compiledExpr
+	aggs    []aggCode // the targets' query-level aggregates, in walk order
 }
 
-// compiled returns the memoized closure for a top-level expression,
-// compiling it on first use. Compilation happens outside the lock (it
-// is pure), so two statements may race to compile the same tree; the
-// second result simply replaces the first, which is harmless.
-//
-// extra:acquires exprMu.W
-func (ex *Executor) compiled(e sema.Expr) compiledExpr {
-	ex.exprMu.Lock()
-	if c, ok := ex.exprCache[e]; ok {
-		ex.exprMu.Unlock()
-		return c
+// nodeCode holds one plan node's closures: its filter conjuncts and,
+// for a hash-join node, the build and probe keys.
+type nodeCode struct {
+	filter       []compiledExpr
+	build, probe compiledExpr
+}
+
+// aggCode is one query-level aggregate with its argument and its over
+// expression (nil when it has none) compiled.
+type aggCode struct {
+	agg       *sema.Agg
+	arg, over compiledExpr
+}
+
+// Compile compiles a retrieve's plan: node filters, hash-join keys,
+// residual and forall conjuncts, and either the target list or, for an
+// aggregated retrieve, its group keys and aggregate arguments. Grouped
+// targets are not compiled: only the walker threads aggregate values.
+func (ex *State) Compile(cq *sema.CheckedRetrieve, p *algebra.Plan) *Code {
+	if !cq.Aggregated {
+		return ex.compilePlan(p, cq.TargetExprs()...)
 	}
-	ex.exprMu.Unlock()
-	c, _, _ := compile(e)
-	ex.exprMu.Lock()
-	if len(ex.exprCache) >= maxCompiledExprs {
-		ex.exprCache = nil // epoch flush; see maxCompiledExprs
-	}
-	if ex.exprCache == nil {
-		ex.exprCache = make(map[sema.Expr]compiledExpr)
-	}
-	ex.exprCache[e] = c
-	ex.exprMu.Unlock()
-	if ex.cExprCompile != nil {
-		ex.cExprCompile.Inc()
+	c := ex.compilePlan(p)
+	c.groupBy = ex.compileAll(cq.GroupBy)
+	for _, t := range cq.Targets {
+		sema.WalkAggs(t.Expr, func(a *sema.Agg) {
+			if a.SetArg {
+				return
+			}
+			ac := aggCode{agg: a, arg: ex.compileTop(a.Arg)}
+			if a.Over != nil {
+				ac.over = ex.compileTop(a.Over)
+			}
+			c.aggs = append(c.aggs, ac)
+		})
 	}
 	return c
 }
 
-// CompilePlan compiles every expression a retrieve will evaluate per
-// row — node filters, hash-join keys, the residual filter, forall
-// conjuncts, group keys, aggregate arguments and target expressions —
-// so execution starts with warm closures. Prepared statements and
-// plan-cache hits call it once at compile time; the compile phase of
-// the statement trace times it.
-func (ex *State) CompilePlan(cq *sema.CheckedRetrieve, p *algebra.Plan) {
-	if ex.opts.NoCompiledExprs {
-		return
+// compilePlan compiles a plan's per-row predicates and keys plus the
+// statement's per-row output expressions.
+func (ex *State) compilePlan(p *algebra.Plan, out ...sema.Expr) *Code {
+	c := &Code{
+		nodes:  make([]nodeCode, len(p.Nodes)),
+		final:  ex.compileAll(p.Final),
+		forAll: ex.compileAll(p.ForAll),
+		out:    ex.compileAll(out),
 	}
 	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		for _, f := range n.Filter {
-			ex.compiled(f)
-		}
+		n, nc := &p.Nodes[i], &c.nodes[i]
+		nc.filter = ex.compileAll(n.Filter)
 		if n.Hash != nil {
-			ex.compiled(n.Hash.Build)
-			ex.compiled(n.Hash.Probe)
+			nc.build = ex.compileTop(n.Hash.Build)
+			nc.probe = ex.compileTop(n.Hash.Probe)
 		}
 	}
-	for _, f := range p.Final {
-		ex.compiled(f)
+	return c
+}
+
+// compileAll compiles a list of top-level expressions, keeping their
+// positions.
+func (ex *State) compileAll(es []sema.Expr) []compiledExpr {
+	fns := make([]compiledExpr, len(es))
+	for i, e := range es {
+		fns[i] = ex.compileTop(e)
 	}
-	for _, f := range p.ForAll {
-		ex.compiled(f)
+	return fns
+}
+
+// compileTop compiles one top-level expression, counting it under
+// expr.compile.count. Under Options.NoCompiledExprs (the differential
+// oracle) it emits a closure over the interpreting walker instead, so
+// execution has one calling convention either way.
+func (ex *State) compileTop(e sema.Expr) compiledExpr {
+	if ex.opts.NoCompiledExprs {
+		return walkerFn(e)
 	}
-	if cq == nil {
-		return
+	return ex.compileCounted(e)
+}
+
+// compileCounted compiles one top-level expression to a closure and
+// counts the compilation.
+func (ex *Executor) compileCounted(e sema.Expr) compiledExpr {
+	if ex.cExprCompile != nil {
+		ex.cExprCompile.Inc()
 	}
-	for _, t := range cq.Targets {
-		ex.compiled(t.Expr)
-	}
-	for _, g := range cq.GroupBy {
-		ex.compiled(g)
+	fn, _, _ := compile(e)
+	return fn
+}
+
+// walkerFn evaluates an expression on the interpreting walker.
+func walkerFn(e sema.Expr) compiledExpr {
+	return func(ex *State, ctx *evalCtx) (value.Value, error) {
+		return ex.eval(ctx, e)
 	}
 }
 
@@ -365,9 +392,7 @@ func compile(e sema.Expr) (fn compiledExpr, cv value.Value, isConst bool) {
 
 	// Rare or context-dependent kinds (aggregates, constructors, extent
 	// and database-variable reads) stay on the interpreting walker.
-	return func(ex *State, ctx *evalCtx) (value.Value, error) {
-		return ex.eval(ctx, e)
-	}, nil, false
+	return walkerFn(e), nil, false
 }
 
 // compileUnary compiles not / - / ADT prefix operators, folding over a

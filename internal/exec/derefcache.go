@@ -112,9 +112,3 @@ func (ex *State) scanExtentCached(extent string, fn func(id oid.OID, tv *value.T
 	}
 	return err
 }
-
-// DerefCacheStats returns the lifetime hit/miss counts of the deref
-// cache (for tests and diagnostics).
-func (ex *State) DerefCacheStats() (hits, misses int64) {
-	return ex.derefHits, ex.derefMisses
-}

@@ -10,7 +10,6 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/algebra"
@@ -50,16 +49,6 @@ type Executor struct {
 	// after insertion and are shared freely between statements.
 	fnMu    sync.Mutex // extra:lock fnMu
 	fnCache map[*catalog.Function]*boundBody
-
-	// exprCache memoizes compiled expression closures by tree identity
-	// (compile.go). Bounded at maxCompiledExprs with epoch flushes, so
-	// statements whose trees are minted fresh each execution cannot grow
-	// it without limit; compiled closures are immutable and shared
-	// freely between statements.
-	exprMu    sync.Mutex // extra:lock exprMu
-	exprCache map[sema.Expr]compiledExpr
-
-	statsMisses atomic.Int64 // cardinality-estimate fallbacks (planning)
 
 	// statePool recycles per-statement States (NewState / State.Release)
 	// so repeated statements reuse the deref/extent caches — which are
@@ -116,9 +105,11 @@ type State struct {
 	tr *trace.Active
 }
 
-// boundBody is a memoized function body.
+// boundBody is a memoized function body: an expression body with its
+// closure compiled at bind time, or a retrieve body (planned per call).
 type boundBody struct {
 	expr  sema.Expr
+	fn    compiledExpr
 	query *sema.CheckedRetrieve
 }
 
@@ -182,27 +173,6 @@ func (ex *Executor) SetMetrics(reg *metrics.Registry) {
 	ex.cHashHits = reg.Counter("join.hash.hits")
 	ex.cExprCompile = reg.Counter("expr.compile.count")
 }
-
-// EstimateLen implements algebra.Stats. Extents without statistics fall
-// back to algebra.DefaultCardinality; such misses are counted (the
-// stats.misses metric) so bad cardinality guesses are observable.
-func (ex *Executor) EstimateLen(extent string) int {
-	if n, err := ex.store.ExtentLen(extent); err == nil {
-		return n
-	}
-	if n, err := ex.store.ElemLen(extent); err == nil {
-		return n
-	}
-	ex.statsMisses.Add(1)
-	if ex.cStatsMiss != nil {
-		ex.cStatsMiss.Inc()
-	}
-	return algebra.DefaultCardinality
-}
-
-// StatsMisses returns how many cardinality estimates fell back to the
-// default since the executor was created.
-func (ex *Executor) StatsMisses() int64 { return ex.statsMisses.Load() }
 
 // prov records where a binding's value lives, for update statements.
 type prov struct {
@@ -312,15 +282,16 @@ type evalCtx struct {
 }
 
 // Run enumerates the bindings of a plan, applying node filters, the
-// residual filter and universal quantification, and yields each
-// surviving binding. When the plan carries a Runtime accumulator
-// (EXPLAIN ANALYZE), per-operator actuals are recorded as a side
-// effect; uninstrumented plans take the untraced path.
-func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
+// residual filter and universal quantification through the plan's
+// compiled closures c, and yields each surviving binding. When the plan
+// carries a Runtime accumulator (EXPLAIN ANALYZE), per-operator actuals
+// are recorded as a side effect; uninstrumented plans take the untraced
+// path.
+func (ex *State) Run(p *algebra.Plan, c *Code, yield func(*binding) error) error {
 	b := newBinding()
 	defer b.release()
 	rt := p.Runtime
-	rs := &runState{}
+	rs := &runState{code: c, ctx: &evalCtx{b: b}}
 	var dh, dm int64
 	if rt != nil {
 		dh, dm = ex.derefHits, ex.derefMisses
@@ -329,7 +300,7 @@ func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
 		if rt != nil {
 			rt.FinalIn++
 		}
-		ok, err := ex.passAll(bb, p.Final)
+		ok, err := ex.passAll(rs.ctx, c.final)
 		if err != nil {
 			return err
 		}
@@ -340,7 +311,7 @@ func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
 			rt.FinalOut++
 			rt.ForAllChecked++
 		}
-		ok, err = ex.forAllHolds(bb, p.Universal, p.ForAll)
+		ok, err = ex.forAllHolds(rs.ctx, p.Universal, c.forAll)
 		if err != nil {
 			return err
 		}
@@ -356,8 +327,8 @@ func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
 	if rt != nil {
 		rt.DerefHits += ex.derefHits - dh
 		rt.DerefMisses += ex.derefMisses - dm
-		for i := range p.Nodes {
-			if t := rs.tables[&p.Nodes[i]]; t != nil {
+		for i, t := range rs.tables {
+			if t != nil {
 				nr := &rt.Nodes[i]
 				nr.HashBuildRows += t.buildRows
 				nr.HashProbes += t.probes
@@ -368,10 +339,9 @@ func (ex *State) Run(p *algebra.Plan, yield func(*binding) error) error {
 	return err
 }
 
-func (ex *State) passAll(b *binding, conjs []sema.Expr) (bool, error) {
-	ctx := &evalCtx{b: b}
+func (ex *State) passAll(ctx *evalCtx, conjs []compiledExpr) (bool, error) {
 	for _, cj := range conjs {
-		v, err := ex.evalC(ctx, cj)
+		v, err := cj(ex, ctx)
 		if err != nil {
 			return false, err
 		}
@@ -391,24 +361,24 @@ func (ex *State) runNode(p *algebra.Plan, i int, b *binding, rs *runState, yield
 	if p.Runtime != nil {
 		return ex.runNodeTraced(p, i, b, rs, yield)
 	}
-	n := &p.Nodes[i]
+	n, filter := &p.Nodes[i], rs.code.nodes[i].filter
 	emit := func(v value.Value, pr prov) error {
 		b.bind(n.Var, v, pr)
-		ok, err := ex.passAll(b, n.Filter)
+		ok, err := ex.passAll(rs.ctx, filter)
 		if err == nil && ok {
 			err = ex.runNode(p, i+1, b, rs, yield)
 		}
 		b.unbind(n.Var)
 		return err
 	}
-	return ex.enumerate(b, n, rs, emit)
+	return ex.enumerate(b, n, i, rs, emit)
 }
 
 // runNodeTraced is runNode with actuals collection: loops, rows in/out,
 // self time (child time subtracted) and buffer-pool traffic attributed
 // to this node's fetches and filter evaluation.
 func (ex *State) runNodeTraced(p *algebra.Plan, i int, b *binding, rs *runState, yield func(*binding) error) error {
-	n := &p.Nodes[i]
+	n, filter := &p.Nodes[i], rs.code.nodes[i].filter
 	rt := &p.Runtime.Nodes[i]
 	rt.Loops++
 	pool := ex.store.Pool()
@@ -424,7 +394,7 @@ func (ex *State) runNodeTraced(p *algebra.Plan, i int, b *binding, rs *runState,
 	emit := func(v value.Value, pr prov) error {
 		rt.RowsIn++
 		b.bind(n.Var, v, pr)
-		ok, err := ex.passAll(b, n.Filter)
+		ok, err := ex.passAll(rs.ctx, filter)
 		if err == nil && ok {
 			rt.RowsOut++
 			account() // pool traffic so far is this node's fetch/filter work
@@ -436,21 +406,22 @@ func (ex *State) runNodeTraced(p *algebra.Plan, i int, b *binding, rs *runState,
 		b.unbind(n.Var)
 		return err
 	}
-	err := ex.enumerate(b, n, rs, emit)
+	err := ex.enumerate(b, n, i, rs, emit)
 	account()
 	rt.Time += time.Since(start) - child
 	return err
 }
 
-// enumerate produces the bindings of one variable. rs may be nil (build
-// side of a hash join, universal quantification): then the node is
-// enumerated directly even if a hash path was selected.
-func (ex *State) enumerate(b *binding, n *algebra.Node, rs *runState, emit func(value.Value, prov) error) error {
+// enumerate produces the bindings of one variable, node i of the plan
+// rs runs. rs may be nil (build side of a hash join, universal
+// quantification): then the node is enumerated directly even if a hash
+// path was selected.
+func (ex *State) enumerate(b *binding, n *algebra.Node, i int, rs *runState, emit func(value.Value, prov) error) error {
 	v := n.Var
 	switch v.Kind {
 	case sema.VarExtent:
 		if n.Hash != nil && rs != nil {
-			return ex.hashProbe(b, n, rs, emit)
+			return ex.hashProbe(n, i, rs, emit)
 		}
 		r := ex.reader()
 		if r.IsObjectExtent(v.Extent) {
@@ -647,7 +618,10 @@ func (ex *State) stepOnce(cur value.Value, owner collOwner, st sema.Step, ctx *e
 		cur = tv.Get(st.Attr)
 	}
 	if st.Index != nil {
-		iv, err := ex.eval(orCtx(ctx), st.Index)
+		if ctx == nil {
+			ctx = &evalCtx{b: newBinding()}
+		}
+		iv, err := ex.eval(ctx, st.Index)
 		if err != nil {
 			return nil, owner, err
 		}
@@ -670,13 +644,6 @@ func (ex *State) stepOnce(cur value.Value, owner collOwner, st sema.Step, ctx *e
 	return cur, owner, nil
 }
 
-func orCtx(ctx *evalCtx) *evalCtx {
-	if ctx != nil {
-		return ctx
-	}
-	return &evalCtx{b: newBinding()}
-}
-
 // elemsOf extracts the elements of a collection value.
 func elemsOf(v value.Value) ([]value.Value, bool) {
 	switch x := v.(type) {
@@ -691,10 +658,11 @@ func elemsOf(v value.Value) ([]value.Value, bool) {
 // forAllHolds checks the universally quantified part of the predicate:
 // for every combination of bindings of the universal variables, all
 // conjuncts must hold.
-func (ex *State) forAllHolds(b *binding, uvars []*sema.Var, conjs []sema.Expr) (bool, error) {
+func (ex *State) forAllHolds(ctx *evalCtx, uvars []*sema.Var, conjs []compiledExpr) (bool, error) {
 	if len(uvars) == 0 || len(conjs) == 0 {
 		return true, nil
 	}
+	b := ctx.b
 	holds := true
 	var rec func(i int) error
 	rec = func(i int) error {
@@ -702,7 +670,7 @@ func (ex *State) forAllHolds(b *binding, uvars []*sema.Var, conjs []sema.Expr) (
 			return nil
 		}
 		if i >= len(uvars) {
-			ok, err := ex.passAll(b, conjs)
+			ok, err := ex.passAll(ctx, conjs)
 			if err != nil {
 				return err
 			}
@@ -712,7 +680,7 @@ func (ex *State) forAllHolds(b *binding, uvars []*sema.Var, conjs []sema.Expr) (
 			return nil
 		}
 		n := &algebra.Node{Var: uvars[i]}
-		return ex.enumerate(b, n, nil, func(v value.Value, pr prov) error {
+		return ex.enumerate(b, n, 0, nil, func(v value.Value, pr prov) error {
 			b.bind(uvars[i], v, pr)
 			err := rec(i + 1)
 			b.unbind(uvars[i])
@@ -723,9 +691,4 @@ func (ex *State) forAllHolds(b *binding, uvars []*sema.Var, conjs []sema.Expr) (
 		return false, err
 	}
 	return holds, nil
-}
-
-// Plan builds an optimized plan for a checked query.
-func (ex *Executor) Plan(q sema.Query) *algebra.Plan {
-	return algebra.Build(ex.cat, ex, q, ex.opts)
 }

@@ -11,13 +11,15 @@ import (
 	"repro/internal/value"
 )
 
-// runState carries per-execution state of one plan run: the lazily built
-// hash-join tables, keyed by plan node. A fresh runState per Run keeps a
-// table from outliving the statement that built it (the store may change
-// between statements) while letting every outer binding of one run share
-// the same build.
+// runState carries per-execution state of one plan run: the plan's
+// compiled closures and the lazily built hash-join tables, indexed by
+// plan node. A fresh runState per Run keeps a table from outliving the
+// statement that built it (the store may change between statements)
+// while letting every outer binding of one run share the same build.
 type runState struct {
-	tables map[*algebra.Node]*joinTable
+	code   *Code
+	ctx    *evalCtx // over the run's one binding, shared by every row
+	tables []*joinTable
 }
 
 // joinEntry is one build-side row of a join table: the bound value plus
@@ -98,30 +100,30 @@ func mentionsOnlyVar(e sema.Expr, v *sema.Var) bool {
 // buildJoinTable materializes the build side of a hash-join node: one
 // pass over the node's source (scan or index probe), applying the filter
 // conjuncts local to the node's variable, keying each surviving row on
-// the build expression.
-func (ex *State) buildJoinTable(n *algebra.Node) (*joinTable, error) {
+// the build expression. nc holds the node's compiled closures.
+func (ex *State) buildJoinTable(n *algebra.Node, nc *nodeCode) (*joinTable, error) {
 	// The build is a discrete materializing step (unlike the per-row
 	// pipeline), so it earns a live operator span when sampled.
 	sp := ex.tr.StartSpan(trace.KindOperator, "hash build "+n.Var.Extent+" binding "+n.Var.Name)
 	defer ex.tr.EndSpan(sp)
 	t := &joinTable{groups: make(map[string][]joinEntry)}
-	var local []sema.Expr
-	for _, f := range n.Filter {
+	var local []compiledExpr
+	for j, f := range n.Filter {
 		if mentionsOnlyVar(f, n.Var) {
-			local = append(local, f)
+			local = append(local, nc.filter[j])
 		}
 	}
 	src := &algebra.Node{Var: n.Var, Access: n.Access}
 	b := newBinding()
 	defer b.release()
 	ctx := &evalCtx{b: b}
-	err := ex.enumerate(b, src, nil, func(v value.Value, pr prov) error {
+	err := ex.enumerate(b, src, 0, nil, func(v value.Value, pr prov) error {
 		b.bind(n.Var, v, pr)
 		defer b.unbind(n.Var)
-		if ok, err := ex.passAll(b, local); err != nil || !ok {
+		if ok, err := ex.passAll(ctx, local); err != nil || !ok {
 			return err
 		}
-		kv, err := ex.evalC(ctx, n.Hash.Build)
+		kv, err := nc.build(ex, ctx)
 		if err != nil {
 			return err
 		}
@@ -151,27 +153,28 @@ func (ex *State) buildJoinTable(n *algebra.Node) (*joinTable, error) {
 	return t, nil
 }
 
-// hashProbe enumerates a hash-join node for one outer binding: evaluates
-// the probe key over the already-bound variables and emits the matching
-// build rows. The node's full filter (including the join conjunct) is
-// re-applied by the caller, so emitting a superset is safe.
-func (ex *State) hashProbe(b *binding, n *algebra.Node, rs *runState, emit func(value.Value, prov) error) error {
-	t := rs.tables[n]
+// hashProbe enumerates hash-join node i for one outer binding:
+// evaluates the probe key over the already-bound variables and emits the
+// matching build rows. The node's full filter (including the join
+// conjunct) is re-applied by the caller, so emitting a superset is safe.
+func (ex *State) hashProbe(n *algebra.Node, i int, rs *runState, emit func(value.Value, prov) error) error {
+	if rs.tables == nil {
+		rs.tables = make([]*joinTable, len(rs.code.nodes))
+	}
+	nc := &rs.code.nodes[i]
+	t := rs.tables[i]
 	if t == nil {
 		var err error
-		if t, err = ex.buildJoinTable(n); err != nil {
+		if t, err = ex.buildJoinTable(n, nc); err != nil {
 			return err
 		}
-		if rs.tables == nil {
-			rs.tables = make(map[*algebra.Node]*joinTable)
-		}
-		rs.tables[n] = t
+		rs.tables[i] = t
 	}
 	t.probes++
 	if ex.cHashProbes != nil {
 		ex.cHashProbes.Inc()
 	}
-	kv, err := ex.evalC(&evalCtx{b: b}, n.Hash.Probe)
+	kv, err := nc.probe(ex, rs.ctx)
 	if err != nil {
 		return err
 	}

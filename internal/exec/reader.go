@@ -75,16 +75,18 @@ func (ex *State) SnapshotVersion() uint64 {
 	return ex.snap.Version()
 }
 
-// Plan builds an optimized plan for a checked query. It shadows
-// Executor.Plan so cardinality estimation flows through the State's
-// bound view: a pinned statement plans against its snapshot, not
-// against extents a concurrent writer is growing.
+// Plan builds an optimized plan for a checked query. Cardinality
+// estimation flows through the State's bound view: a pinned statement
+// plans against its snapshot, not against extents a concurrent writer
+// is growing.
 func (ex *State) Plan(q sema.Query) *algebra.Plan {
 	return algebra.Build(ex.cat, ex, q, ex.opts)
 }
 
-// EstimateLen implements algebra.Stats against the bound view (see
-// Executor.EstimateLen for the live-store form).
+// EstimateLen implements algebra.Stats against the bound view. Extents
+// without statistics fall back to algebra.DefaultCardinality; such
+// misses are counted (the stats.misses metric) so bad cardinality
+// guesses are observable.
 func (ex *State) EstimateLen(extent string) int {
 	r := ex.reader()
 	if n, err := r.ExtentLen(extent); err == nil {
@@ -93,7 +95,6 @@ func (ex *State) EstimateLen(extent string) int {
 	if n, err := r.ElemLen(extent); err == nil {
 		return n
 	}
-	ex.statsMisses.Add(1)
 	if ex.cStatsMiss != nil {
 		ex.cStatsMiss.Inc()
 	}

@@ -74,30 +74,33 @@ func displayValue(v value.Value) string {
 	return v.String()
 }
 
-// Retrieve runs a checked retrieve and returns its result set. When the
-// statement has an into clause, the result is also materialized as a new
-// database variable.
+// Retrieve plans, compiles and runs a checked retrieve (a retrieve-bodied
+// function call) and returns its result set.
 func (ex *State) Retrieve(cq *sema.CheckedRetrieve) (*Result, error) {
-	return ex.RetrievePlan(cq, ex.Plan(cq.Query))
+	plan := ex.Plan(cq.Query)
+	return ex.RetrievePlan(cq, plan, ex.Compile(cq, plan))
 }
 
-// RetrievePlan runs a checked retrieve through an already-built plan —
-// the database layer uses it to time planning and execution separately
-// and to execute instrumented (EXPLAIN ANALYZE) plans.
-func (ex *State) RetrievePlan(cq *sema.CheckedRetrieve, plan *algebra.Plan) (*Result, error) {
+// RetrievePlan runs a checked retrieve through an already-built plan and
+// its compiled closures — the database layer uses it to time planning,
+// compilation and execution separately, to serve plan-cache hits, and to
+// execute instrumented (EXPLAIN ANALYZE) clones of the plan. When the
+// statement has an into clause, the result is also materialized as a new
+// database variable.
+func (ex *State) RetrievePlan(cq *sema.CheckedRetrieve, plan *algebra.Plan, c *Code) (*Result, error) {
 	res := &Result{}
 	for _, t := range cq.Targets {
 		res.Cols = append(res.Cols, t.Name)
 	}
 	var err error
 	if cq.Aggregated {
-		err = ex.retrieveGrouped(cq, plan, res)
+		err = ex.retrieveGrouped(cq, plan, c, res)
 	} else {
-		err = ex.Run(plan, func(b *binding) error {
+		err = ex.Run(plan, c, func(b *binding) error {
 			ctx := &evalCtx{b: b}
-			row := make(Row, len(cq.Targets))
-			for i, t := range cq.Targets {
-				v, err := ex.evalC(ctx, t.Expr)
+			row := make(Row, len(c.out))
+			for i, fn := range c.out {
+				v, err := fn(ex, ctx)
 				if err != nil {
 					return err
 				}
@@ -139,37 +142,28 @@ type aggState struct {
 // the over-expression when one is given (the paper's mechanism for
 // aggregating one level of a complex object while partitioning on
 // another, which also subsumes QUEL's unique aggregates).
-func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, res *Result) error {
-	// Collect the distinct aggregate nodes of the target list.
-	var aggs []*sema.Agg
-	for _, t := range cq.Targets {
-		sema.WalkAggs(t.Expr, func(a *sema.Agg) {
-			if !a.SetArg {
-				aggs = append(aggs, a)
-			}
-		})
-	}
+func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, c *Code, res *Result) error {
 	groups := map[string]*groupState{}
 	var order []string
-	err := ex.Run(plan, func(b *binding) error {
+	err := ex.Run(plan, c, func(b *binding) error {
 		ctx := &evalCtx{b: b}
-		key, err := ex.groupKey(ctx, cq.GroupBy)
+		key, err := ex.groupKey(ctx, c.groupBy)
 		if err != nil {
 			return err
 		}
 		g, ok := groups[key]
 		if !ok {
 			g = &groupState{rep: b.clone(), aggs: map[*sema.Agg]*aggState{}}
-			for _, a := range aggs {
-				g.aggs[a] = &aggState{}
+			for _, ac := range c.aggs {
+				g.aggs[ac.agg] = &aggState{}
 			}
 			groups[key] = g
 			order = append(order, key)
 		}
-		for _, a := range aggs {
-			st := g.aggs[a]
-			if a.Over != nil {
-				ov, err := ex.evalC(ctx, a.Over)
+		for _, ac := range c.aggs {
+			st := g.aggs[ac.agg]
+			if ac.over != nil {
+				ov, err := ac.over(ex, ctx)
 				if err != nil {
 					return err
 				}
@@ -182,7 +176,7 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, r
 				}
 				st.over[ok] = true
 			}
-			av, err := ex.evalC(ctx, a.Arg)
+			av, err := ac.arg(ex, ctx)
 			if err != nil {
 				return err
 			}
@@ -197,8 +191,8 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, r
 	// produces one row: count = 0, sum = 0, the others null.
 	if len(order) == 0 && len(cq.GroupBy) == 0 {
 		g := &groupState{rep: newBinding(), aggs: map[*sema.Agg]*aggState{}}
-		for _, a := range aggs {
-			g.aggs[a] = &aggState{}
+		for _, ac := range c.aggs {
+			g.aggs[ac.agg] = &aggState{}
 		}
 		groups[""] = g
 		order = append(order, "")
@@ -231,13 +225,13 @@ func (ex *State) retrieveGrouped(cq *sema.CheckedRetrieve, plan *algebra.Plan, r
 }
 
 // groupKey renders the grouping values of the current binding.
-func (ex *State) groupKey(ctx *evalCtx, groups []sema.Expr) (string, error) {
+func (ex *State) groupKey(ctx *evalCtx, groups []compiledExpr) (string, error) {
 	if len(groups) == 0 {
 		return "", nil
 	}
 	var b strings.Builder
 	for _, g := range groups {
-		v, err := ex.evalC(ctx, g)
+		v, err := g(ex, ctx)
 		if err != nil {
 			return "", err
 		}

@@ -21,19 +21,14 @@ import (
 // statement, right after the sampling decision.
 func (ex *State) SetTrace(a *trace.Active) { ex.tr = a }
 
-// Trace returns the statement's span builder (nil when unsampled).
-func (ex *State) Trace() *trace.Active { return ex.tr }
-
-// opSpan opens an operator span for one update statement.
-func (ex *State) opSpan(name string) int {
-	return ex.tr.StartSpan(trace.KindOperator, name)
-}
-
-// endOpSpan closes an update statement's operator span, recording the
-// rows it touched.
-func (ex *State) endOpSpan(sp int, rows int) {
-	ex.tr.AttrInt(sp, "rows", int64(rows))
+// opSpan runs one update statement inside an operator span recording
+// the rows it touched.
+func (ex *State) opSpan(name string, run func() (int, error)) (int, error) {
+	sp := ex.tr.StartSpan(trace.KindOperator, name)
+	n, err := run()
+	ex.tr.AttrInt(sp, "rows", int64(n))
 	ex.tr.EndSpan(sp)
+	return n, err
 }
 
 // Append executes a checked append, returning the number of elements
@@ -42,10 +37,7 @@ func (ex *State) endOpSpan(sp int, rows int) {
 //
 // extra:requires db.wmu.W
 func (ex *State) Append(ca *sema.CheckedAppend) (int, error) {
-	sp := ex.opSpan("append")
-	n, err := ex.appendStmt(ca)
-	ex.endOpSpan(sp, n)
-	return n, err
+	return ex.opSpan("append", func() (int, error) { return ex.appendStmt(ca) })
 }
 
 // Delete executes a checked delete: removes the variable's bindings from
@@ -53,10 +45,7 @@ func (ex *State) Append(ca *sema.CheckedAppend) (int, error) {
 //
 // extra:requires db.wmu.W
 func (ex *State) Delete(cd *sema.CheckedDelete) (int, error) {
-	sp := ex.opSpan("delete")
-	n, err := ex.deleteStmt(cd)
-	ex.endOpSpan(sp, n)
-	return n, err
+	return ex.opSpan("delete", func() (int, error) { return ex.deleteStmt(cd) })
 }
 
 // Replace executes a checked replace: per matching binding, assigns the
@@ -65,10 +54,7 @@ func (ex *State) Delete(cd *sema.CheckedDelete) (int, error) {
 //
 // extra:requires db.wmu.W
 func (ex *State) Replace(cr *sema.CheckedReplace) (int, error) {
-	sp := ex.opSpan("replace")
-	n, err := ex.replaceStmt(cr)
-	ex.endOpSpan(sp, n)
-	return n, err
+	return ex.opSpan("replace", func() (int, error) { return ex.replaceStmt(cr) })
 }
 
 // Set executes a checked set statement: the from/where clause must bind
@@ -77,9 +63,7 @@ func (ex *State) Replace(cr *sema.CheckedReplace) (int, error) {
 //
 // extra:requires db.wmu.W
 func (ex *State) Set(cs *sema.CheckedSet) error {
-	sp := ex.opSpan("set")
-	err := ex.setStmt(cs)
-	ex.endOpSpan(sp, 1)
+	_, err := ex.opSpan("set", func() (int, error) { return 1, ex.setStmt(cs) })
 	return err
 }
 
@@ -89,8 +73,5 @@ func (ex *State) Set(cs *sema.CheckedSet) error {
 //
 // extra:requires db.wmu.W
 func (ex *State) Execute(ce *sema.CheckedExecute, runBody func(params map[string]value.Value) error) (int, error) {
-	sp := ex.opSpan("execute " + ce.Proc.Name)
-	n, err := ex.executeStmt(ce, runBody)
-	ex.endOpSpan(sp, n)
-	return n, err
+	return ex.opSpan("execute "+ce.Proc.Name, func() (int, error) { return ex.executeStmt(ce, runBody) })
 }

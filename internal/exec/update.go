@@ -21,18 +21,17 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 		owner prov // target location for nested appends
 	}
 	var jobs []job
+	var elemExpr sema.Expr = ca.Value
+	if ca.Ctor != nil {
+		elemExpr = ca.Ctor
+	}
+	plan := ex.Plan(ca.Query)
+	code := ex.compilePlan(plan, elemExpr)
 	collect := func(b *binding) error {
 		ctx := &evalCtx{b: b}
-		var elem value.Value
-		var err error
-		if ca.Ctor != nil {
-			if elem, err = ex.evalC(ctx, ca.Ctor); err != nil {
-				return err
-			}
-		} else {
-			if elem, err = ex.evalC(ctx, ca.Value); err != nil {
-				return err
-			}
+		elem, err := code.out[0](ex, ctx)
+		if err != nil {
+			return err
 		}
 		celem, err := ex.coerce(elem, ca.Elem)
 		if err != nil {
@@ -43,32 +42,24 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 			// Locate the owning object / database variable now; the
 			// mutation happens after enumeration so iteration never sees
 			// its own updates (QUEL statement semantics).
-			var ownerOID oid.OID
-			ownerVar := ca.OwnerVar
-			var steps []sema.Step
+			owner := collOwner{dbvar: ca.OwnerVar}
 			if ca.Owner != nil {
 				ov, err := ex.eval(ctx, ca.Owner)
 				if err != nil {
 					return err
 				}
-				start, owner0, err2 := ex.resolveOwner(ov, b, ca.Owner)
-				if err2 != nil {
-					return err2
+				if owner, err = ex.resolveOwner(ov, b, ca.Owner); err != nil {
+					return err
 				}
-				_ = start
-				ownerOID, ownerVar = owner0.oid, owner0.dbvar
-				steps = owner0.steps
 			}
 			// Walk remaining structural steps (attribute names) to record
 			// the collection location relative to the owner.
-			steps = append(steps, ca.Steps...)
-			j.owner = prov{parentOID: ownerOID, parentVar: ownerVar, steps: steps}
+			j.owner = prov{parentOID: owner.oid, parentVar: owner.dbvar, steps: append(owner.steps, ca.Steps...)}
 		}
 		jobs = append(jobs, j)
 		return nil
 	}
-	plan := ex.Plan(ca.Query)
-	if err := ex.Run(plan, collect); err != nil {
+	if err := ex.Run(plan, code, collect); err != nil {
 		return 0, err
 	}
 	for _, j := range jobs {
@@ -89,9 +80,9 @@ func (ex *State) appendStmt(ca *sema.CheckedAppend) (int, error) {
 }
 
 // resolveOwner maps an owner expression value to its location.
-func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (value.Value, collOwner, error) {
+func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (collOwner, error) {
 	if o, isObj := v.(value.Object); isObj {
-		return v, collOwner{oid: o.OID}, nil
+		return collOwner{oid: o.OID}, nil
 	}
 	if vr, isVar := e.(*sema.VarRef); isVar {
 		// An own element without identity: address it positionally within
@@ -99,12 +90,12 @@ func (ex *State) resolveOwner(v value.Value, b *binding, e sema.Expr) (value.Val
 		pr := b.getProv(vr.Var)
 		steps := append(append([]sema.Step(nil), pr.steps...),
 			sema.Step{Index: &sema.Const{Val: value.NewInt(int64(pr.elemIdx + 1))}})
-		return v, collOwner{oid: pr.parentOID, dbvar: pr.parentVar, steps: steps}, nil
+		return collOwner{oid: pr.parentOID, dbvar: pr.parentVar, steps: steps}, nil
 	}
 	if dv, isDB := e.(*sema.DBVarRead); isDB {
-		return v, collOwner{dbvar: dv.Name}, nil
+		return collOwner{dbvar: dv.Name}, nil
 	}
-	return nil, collOwner{}, fmt.Errorf("cannot locate the collection owner for append")
+	return collOwner{}, fmt.Errorf("cannot locate the collection owner for append")
 }
 
 // appendToExtent inserts a new element into a top-level collection.
@@ -258,7 +249,7 @@ func (ex *State) deleteStmt(cd *sema.CheckedDelete) (int, error) {
 	}
 	var nested []nestedDel
 	plan := ex.Plan(cd.Query)
-	err := ex.Run(plan, func(b *binding) error {
+	err := ex.Run(plan, ex.compilePlan(plan), func(b *binding) error {
 		pr := b.getProv(cd.Var)
 		switch {
 		case pr.extent != "" && !pr.oid.IsNil() && ex.store.IsObjectExtent(pr.extent):
@@ -355,11 +346,16 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 	}
 	var jobs []job
 	plan := ex.Plan(cr.Query)
-	err := ex.Run(plan, func(b *binding) error {
+	exprs := make([]sema.Expr, len(cr.Assigns))
+	for i, as := range cr.Assigns {
+		exprs[i] = as.Expr
+	}
+	code := ex.compilePlan(plan, exprs...)
+	err := ex.Run(plan, code, func(b *binding) error {
 		ctx := &evalCtx{b: b}
 		j := job{pr: b.getProv(cr.Var)}
-		for _, as := range cr.Assigns {
-			v, err := ex.evalC(ctx, as.Expr)
+		for i, as := range cr.Assigns {
+			v, err := code.out[i](ex, ctx)
 			if err != nil {
 				return err
 			}
@@ -422,7 +418,7 @@ func (ex *State) replaceStmt(cr *sema.CheckedReplace) (int, error) {
 func (ex *State) setStmt(cs *sema.CheckedSet) error {
 	var rows []*binding
 	plan := ex.Plan(cs.Query)
-	err := ex.Run(plan, func(b *binding) error {
+	err := ex.Run(plan, ex.compilePlan(plan), func(b *binding) error {
 		rows = append(rows, b.clone())
 		if len(rows) > 1 {
 			return fmt.Errorf("set statement matched more than one binding")
@@ -486,11 +482,12 @@ func (ex *State) executeStmt(ce *sema.CheckedExecute, runBody func(params map[st
 	type frame = map[string]value.Value
 	var frames []frame
 	plan := ex.Plan(ce.Query)
-	err := ex.Run(plan, func(b *binding) error {
+	code := ex.compilePlan(plan, ce.Args...)
+	err := ex.Run(plan, code, func(b *binding) error {
 		ctx := &evalCtx{b: b}
 		f := make(frame, len(ce.Args))
-		for i, a := range ce.Args {
-			v, err := ex.evalC(ctx, a)
+		for i, fn := range code.out {
+			v, err := fn(ex, ctx)
 			if err != nil {
 				return err
 			}

@@ -9,10 +9,19 @@ import (
 // goroutines, mixing hits, misses and evictions, and checks the atomic
 // counters stay coherent: run with -race, and every sampled snapshot
 // must be monotonic with hits+misses equal to the pins issued so far or
-// less (never more).
+// less (never more). Each goroutine dirties only its own private pages,
+// so the page writes themselves never race, and every shard has at
+// least one frame per goroutine, so concurrent pins cannot exhaust one.
 func TestPoolConcurrentPins(t *testing.T) {
 	store := NewMemStore()
-	const pages = 64
+	const (
+		goroutines = 8
+		pinsEach   = 500
+		private    = 8                           // pages each goroutine alone pins and dirties
+		shared     = 192                         // pages every goroutine pins read-only
+		pages      = goroutines*private + shared // 256
+		frames     = maxPoolShards * goroutines  // half the pages fit: evictions happen
+	)
 	ids := make([]PageID, pages)
 	for i := range ids {
 		id, err := store.Allocate()
@@ -21,23 +30,25 @@ func TestPoolConcurrentPins(t *testing.T) {
 		}
 		ids[i] = id
 	}
-	bp := NewBufferPool(store, 32) // half the pages fit: evictions happen
+	bp := NewBufferPool(store, frames)
 
-	const goroutines = 8
-	const pinsEach = 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < pinsEach; i++ {
-				id := ids[(i*7+g*13)%pages]
+				dirty := i%3 == 0
+				id := ids[goroutines*private+(i*7+g*13)%shared]
+				if dirty {
+					id = ids[g*private+(i/3)%private]
+				}
 				buf, err := bp.Pin(id)
 				if err != nil {
 					t.Errorf("goroutine %d: pin %d: %v", g, id, err)
 					return
 				}
-				if i%3 == 0 {
+				if dirty {
 					buf[0] = byte(g)
 					bp.MarkDirty(id)
 				}
@@ -69,6 +80,9 @@ func TestPoolConcurrentPins(t *testing.T) {
 			if final.Hits+final.Misses != goroutines*pinsEach {
 				t.Fatalf("final hits+misses = %d, want %d",
 					final.Hits+final.Misses, goroutines*pinsEach)
+			}
+			if final.Evictions == 0 {
+				t.Fatalf("no evictions: %+v", final)
 			}
 			if err := bp.FlushAll(); err != nil {
 				t.Fatal(err)

@@ -9,16 +9,19 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/excess/ast"
 	"repro/internal/excess/sema"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 )
 
-// planCache is the engine-wide compiled-statement cache: a text-keyed map
-// from normalized retrieve source to its checked form and optimized plan,
-// so a statement executed repeatedly (the OLTP shape the paper's
-// application interfaces generate) pays parse/check/plan once and a map
-// hit thereafter.
+// planCache is the engine's one cache of compiled statements: a
+// text-keyed map from normalized retrieve source to its checked form,
+// optimized plan and the plan's compiled closures, so a statement
+// executed repeatedly (the OLTP shape the paper's application
+// interfaces generate) pays check, plan and compile once, on the miss,
+// and a map hit thereafter.
 //
-// The key embeds everything planning reads besides the statement text:
+// The key embeds everything planning and compilation read besides the
+// statement text:
 //
 //   - the catalog version, bumped by every DDL statement — a schema change
 //     invalidates the whole cache at once without enumerating entries;
@@ -35,9 +38,11 @@ import (
 // last executed (planPin), so a steady-state Exec compares one key and
 // never touches the cache's lock or counters.
 //
-// Entries store the Checked form plus a Cached=true Clone of the plan.
-// The clone is shared by every hit and never mutated — a sampled
-// statement that needs instrumentation clones again before EnableRuntime.
+// Entries store the Checked form, a Cached=true Clone of the plan and
+// the plan's Code. Both are shared by every hit and never mutated — a
+// sampled statement that needs instrumentation clones the plan again
+// before EnableRuntime and runs the clone with the same Code, whose
+// closures are addressed by plan position.
 type planCache struct {
 	mu  sync.RWMutex // extra:lock plancache.mu
 	cap int
@@ -59,10 +64,13 @@ type planKey struct {
 	params string
 }
 
+// planEntry is one compiled statement: the checked tree, the plan, and
+// the plan's per-row closures, all built together on a cache miss.
 type planEntry struct {
 	key  planKey
 	cq   *sema.CheckedRetrieve
 	plan *algebra.Plan
+	code *exec.Code
 }
 
 // planPin is a prepared statement's hold on the cache: its key text,
@@ -159,7 +167,7 @@ func (pc *planCache) put(e *planEntry) {
 			pc.evictions.Inc()
 		}
 	}
-	pc.m[key] = &planEntry{key: key, cq: e.cq, plan: marked}
+	pc.m[key] = &planEntry{key: key, cq: e.cq, plan: marked, code: e.code}
 	pc.fifo = append(pc.fifo, key)
 	pc.size.Set(int64(len(pc.m)))
 }

@@ -179,3 +179,34 @@ func TestPlanCacheSkipsInto(t *testing.T) {
 		t.Errorf("into-retrieve cached a plan: %d entries", got)
 	}
 }
+
+// TestPlanCacheClosuresSurviveDMLChurn: a cached retrieve's closures
+// live in its plan entry, so thousands of DML statements, each compiling
+// its own fresh closures, cannot push them out. After the churn, a
+// plan-cache hit and a prepared Exec on its pinned entry compile
+// nothing.
+func TestPlanCacheClosuresSurviveDMLChurn(t *testing.T) {
+	db := mustOpen(t)
+	loadCompany(t, db)
+	lit := `retrieve (E.name) from E in Employees where E.salary > 80`
+	prep, err := db.Prepare(`retrieve (E.name) from E in Employees where E.salary > $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := db.MustQuery(lit).String()
+	prep.MustExec(80)
+	for i := 0; i < 5000; i++ {
+		db.MustExec(fmt.Sprintf(`replace E (age = %d) from E in Employees where E.name = "Ann"`, i))
+	}
+	compiles := func() uint64 { return db.MetricsSnapshot().Counters["expr.compile.count"] }
+	before := compiles()
+	if got := db.MustQuery(lit).String(); got != want {
+		t.Fatalf("cache hit after churn returned:\n%s\nwant:\n%s", got, want)
+	}
+	if got := prep.MustExec(80).String(); got != want {
+		t.Fatalf("prepared Exec after churn returned:\n%s\nwant:\n%s", got, want)
+	}
+	if after := compiles(); after != before {
+		t.Errorf("expr.compile.count moved %d -> %d across a cache hit and a pinned prepared Exec", before, after)
+	}
+}

@@ -352,16 +352,16 @@ func (s *Session) runWriteStmt(es *exec.State, st ast.Statement, params *paramSc
 	return r, lsn, err
 }
 
-// planRetrieve is the single check/plan/cache function for every
-// executed retrieve, read or write path. It runs inside the caller's
-// pin window (shared statement lock) or under the write lock, so the
-// plan-cache key, the checked catalog state and the bound store view
-// all agree on one catalog version. A prepared statement first tries
-// the entry it pinned last time (no cache traffic when the key still
-// matches, so eviction never forces it to re-plan), then the cache;
-// EXPLAIN ANALYZE and retrieve-into bypass the cache. Cache hits skip
-// check and plan entirely; authorization still runs on every execution
-// — privileges change without bumping the catalog.
+// planRetrieve is the single check/plan/compile/cache function for
+// every executed retrieve, read or write path. It runs inside the
+// caller's pin window (shared statement lock) or under the write lock,
+// so the plan-cache key, the checked catalog state and the bound store
+// view all agree on one catalog version. A prepared statement first
+// tries the entry it pinned last time (no cache traffic when the key
+// still matches, so eviction never forces it to re-plan), then the
+// cache; EXPLAIN ANALYZE and retrieve-into bypass the cache. Cache hits
+// skip check, plan and compile entirely; authorization still runs on
+// every execution — privileges change without bumping the catalog.
 func (s *Session) planRetrieve(es *exec.State, r *ast.Retrieve, params *paramScope, tr *trace.StmtTrace, pin *planPin, an *analysis) (*planEntry, error) {
 	db := s.db
 	var e *planEntry
@@ -389,12 +389,15 @@ func (s *Session) planRetrieve(es *exec.State, r *ast.Retrieve, params *paramSco
 		}
 		e = &planEntry{key: key, cq: cq}
 	}
-	if err := s.authQuery(e.cq.Query, nil, targetExprs(e.cq)...); err != nil {
+	if err := s.authQuery(e.cq.Query, nil, e.cq.TargetExprs()...); err != nil {
 		return nil, err
 	}
 	if e.plan == nil {
 		pt := tr.StartPhase(trace.PhasePlan)
 		e.plan = es.Plan(e.cq.Query)
+		tr.EndPhase(pt)
+		pt = tr.StartPhase(trace.PhaseCompile)
+		e.code = es.Compile(e.cq, e.plan)
 		tr.EndPhase(pt)
 		if useCache {
 			db.plans.put(e)
@@ -403,12 +406,6 @@ func (s *Session) planRetrieve(es *exec.State, r *ast.Retrieve, params *paramSco
 	if pin != nil && useCache {
 		pin.last.Store(e)
 	}
-	// Warm the expression-closure memo for the plan's predicates and
-	// targets. On a repeated statement every lookup hits the memo, so
-	// this phase collapses to map reads.
-	pt := tr.StartPhase(trace.PhaseCompile)
-	es.CompilePlan(e.cq, e.plan)
-	tr.EndPhase(pt)
 	return e, nil
 }
 
@@ -434,7 +431,7 @@ func (s *Session) execPinnedPlan(es *exec.State, e *planEntry, params *paramScop
 	}
 	pt := tr.StartPhase(trace.PhaseExecute)
 	res, err := withParams(es, params, func() (*Result, error) {
-		return es.RetrievePlan(e.cq, plan)
+		return es.RetrievePlan(e.cq, plan, e.code)
 	})
 	if rt != nil {
 		pool := db.pool.Stats().Sub(poolBase)
